@@ -1,19 +1,33 @@
 #!/usr/bin/env python3
-"""Fail when a bench binary advertises a JSON baseline that is not committed.
+"""Guard the committed BENCH_*.json baselines.
 
-Every bench source that uses CAGVT_BENCH_MAIN_WITH_JSON("<figure>") or
-run_figure_main(..., "<figure>", ...) writes BENCH_<figure>.json on each run
-(bench/bench_json.hpp). Those reports are the perf-trajectory baselines CI
-diffs against, so each advertised figure must have its baseline checked in
-at the repository root. This guard scans bench/*.cpp for advertised figure
-names and errors on any missing (or unparseable) BENCH_<figure>.json.
+Default mode: fail when a bench binary advertises a JSON baseline that is
+not committed. Every bench source that uses
+CAGVT_BENCH_MAIN_WITH_JSON("<figure>") or run_figure_main(..., "<figure>",
+...) writes BENCH_<figure>.json on each run (bench/bench_json.hpp). Those
+reports are the perf-trajectory baselines, so each advertised figure must
+have its baseline checked in at the repository root. This mode scans
+bench/*.cpp for advertised figure names and errors on any missing (or
+unparseable) BENCH_<figure>.json.
+
+--against DIR: exact diff of freshly generated reports against the
+committed baselines. Every BENCH_<figure>.json in DIR is matched to the
+committed file of the same name, and its points to the baseline's points
+by benchmark name. The simulator is deterministic, so every field must be
+equal, except the host timings (real_time, cpu_time) and google-benchmark
+bookkeeping. A changed value, or a field present on only one side, fails.
+A point only in the fresh report fails; a point only in the baseline is
+skipped (e.g. abl11's 128/256-node points, generated only with
+CAGVT_ABL11_STRESS=1).
 
 Usage:
     python3 scripts/check_bench_baselines.py [repo_root]
+    python3 scripts/check_bench_baselines.py [repo_root] --against DIR
 
-Exit codes: 0 all baselines present and valid JSON, 1 otherwise.
+Exit codes: 0 ok, 1 otherwise.
 """
 
+import argparse
 import json
 import os
 import re
@@ -21,6 +35,13 @@ import sys
 
 MACRO = re.compile(r'CAGVT_BENCH_MAIN_WITH_JSON\("([^"]+)"\)')
 FIGURE_MAIN = re.compile(r'run_figure_main\(\s*argc,\s*argv,\s*"([^"]+)"')
+
+# Host timings and google-benchmark bookkeeping: not simulation output.
+IGNORED_FIELDS = {
+    "real_time", "cpu_time", "time_unit", "name", "run_name", "run_type",
+    "family_index", "per_family_instance_index", "repetitions",
+    "repetition_index", "threads", "iterations",
+}
 
 
 def advertised_figures(bench_dir):
@@ -36,9 +57,7 @@ def advertised_figures(bench_dir):
     return figures
 
 
-def main():
-    root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))
+def check_present(root):
     figures = advertised_figures(os.path.join(root, "bench"))
     if not figures:
         print("check_bench_baselines: no bench sources advertise JSON output",
@@ -67,6 +86,68 @@ def main():
         return 1
     print(f"check_bench_baselines: {len(figures)} baselines present and valid")
     return 0
+
+
+def points_by_name(path):
+    with open(path) as f:
+        return {b["name"]: b for b in json.load(f)["benchmarks"]}
+
+
+def diff_report(baseline_path, fresh_path):
+    """Failure lines for one fresh report against its baseline."""
+    fname = os.path.basename(fresh_path)
+    if not os.path.exists(baseline_path):
+        return [f"{fname}: no committed baseline"]
+    try:
+        baseline = points_by_name(baseline_path)
+        fresh = points_by_name(fresh_path)
+    except (OSError, json.JSONDecodeError, KeyError) as e:
+        return [f"{fname}: unreadable report: {e}"]
+    failures = []
+    for name, point in fresh.items():
+        if name not in baseline:
+            failures.append(f"{fname} {name}: not in the baseline")
+            continue
+        base = baseline[name]
+        for field in sorted((set(point) | set(base)) - IGNORED_FIELDS):
+            if field not in base:
+                failures.append(f"{fname} {name}: field '{field}' not in the baseline")
+            elif field not in point:
+                failures.append(f"{fname} {name}: field '{field}' missing from the run")
+            elif point[field] != base[field]:
+                failures.append(f"{fname} {name}: {field} = {point[field]!r}, "
+                                f"baseline {base[field]!r}")
+    return failures
+
+
+def check_against(root, fresh_dir):
+    reports = sorted(f for f in os.listdir(fresh_dir)
+                     if f.startswith("BENCH_") and f.endswith(".json"))
+    if not reports:
+        print(f"check_bench_baselines: no BENCH_*.json in {fresh_dir}", file=sys.stderr)
+        return 1
+    failures = []
+    for fname in reports:
+        failures += diff_report(os.path.join(root, fname), os.path.join(fresh_dir, fname))
+    if failures:
+        for line in failures:
+            print(f"check_bench_baselines: {line}", file=sys.stderr)
+        return 1
+    print(f"check_bench_baselines: {len(reports)} reports match their baselines")
+    return 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    parser.add_argument("--against", metavar="DIR",
+                        help="diff freshly generated BENCH_*.json in DIR "
+                             "against the committed baselines")
+    args = parser.parse_args()
+    if args.against:
+        return check_against(args.root, args.against)
+    return check_present(args.root)
 
 
 if __name__ == "__main__":

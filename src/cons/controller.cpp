@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "cons/clamp.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -33,11 +32,11 @@ Controller::Controller(const ConsConfig& cfg, const pdes::LpMap& map, VirtualTim
   deferred_.assign(clocks_.size(), -kVtInfinity);
   advertised_.assign(clocks_.size(), la_);
   min_clock_.assign(static_cast<std::size_t>(workers_), workers_ > 1 ? la_ : kVtInfinity);
-  window_bound_ = std::min(cfg_.window, la_);
+  window_.engage(0, std::min(cfg_.window, la_));
 }
 
 VirtualTime Controller::bound(int worker) const {
-  return cfg_.kind == SyncKind::kWindow ? window_bound_ : min_clock_[worker];
+  return cfg_.kind == SyncKind::kWindow ? window_.bound() : min_clock_[worker];
 }
 
 pdes::Event Controller::make_control(pdes::MsgKind kind, int from_worker, int to_worker,
@@ -169,7 +168,7 @@ void Controller::on_gvt(std::int64_t round, int worker, VirtualTime lvt, Virtual
     // Safe because window rounds are fully synchronous: gvt is the true
     // global minimum with nothing in transit, and events generated inside
     // [gvt, gvt + lookahead] land strictly above the new bound.
-    window_bound_ = advance_clamp(window_bound_, gvt, std::min(cfg_.window, la_));
+    window_.engage(gvt, std::min(cfg_.window, la_));
   }
   if (lvt == kVtInfinity) return;  // drained worker: no horizon sample
   if (round != horizon_round_) {

@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cons/clamp.hpp"
 #include "cons/cons_config.hpp"
 #include "pdes/event.hpp"
 #include "pdes/mapping.hpp"
@@ -125,8 +126,8 @@ class Controller {
   std::vector<pdes::VirtualTime> deferred_;   // max X requested of me, per requester
   std::vector<pdes::VirtualTime> advertised_; // guarantee last sent, per requester
 
-  // --- window state -------------------------------------------------------
-  pdes::VirtualTime window_bound_ = 0;
+  // --- window state: always engaged, slid forward by every round ---------
+  Clamp window_;
 
   // --- statistics ---------------------------------------------------------
   std::uint64_t null_msgs_ = 0;

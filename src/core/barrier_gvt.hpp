@@ -46,27 +46,10 @@ class BarrierGvt final : public GvtAlgorithm {
 
  private:
   bool round_active_ = false;
-  std::uint64_t round_no_ = 0;
-  metasim::SimTime round_started_ = 0;
-  /// What this round does besides GVT (checkpoint / restore). Every
-  /// Barrier round is already fully synchronous, but snapshot/rewind and
-  /// message sends must still be fenced by an extra global barrier — see
-  /// NodeRuntime::checkpoint_worker.
-  RoundPlan plan_ = RoundPlan::kNormal;
-  /// The load balancer committed a migration plan to this round; workers
-  /// execute it after fossil collection (and any checkpoint) and fence it
-  /// from the round's flush with an extra global barrier.
-  bool lb_moves_ = false;
 
-  void close_round() {
-    ++round_no_;
-    ++stats_.rounds;
-    stats_.round_time_total += node_.engine().now() - round_started_;
+  void close() {
     round_active_ = false;
-    plan_ = RoundPlan::kNormal;
-    lb_moves_ = false;
-    node_.trace().round_end(node_.rank(), round_no_);
-    node_.metrics().counter("gvt.rounds").inc();
+    close_round(/*tiered=*/false);
   }
 };
 

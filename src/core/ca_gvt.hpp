@@ -25,7 +25,9 @@
 // The entire synchronous-round machinery — the barrier insertion points,
 // the SyncFlag distribution, and the dedicated MPI thread's barrier
 // participation — lives in MatternGvt (checkpoint/restore rounds reuse it
-// under every policy); this class supplies only the adaptive policy.
+// under every policy), and the tiered trigger policy in GvtAlgorithm::decide
+// (shared with the epoch GVT and, via core/gvt_policy.hpp, the thread
+// backend); this class only switches the policy on and charges its cost.
 #pragma once
 
 #include "core/mattern_gvt.hpp"
@@ -34,23 +36,12 @@ namespace cagvt::core {
 
 class CaGvt final : public MatternGvt {
  public:
-  using MatternGvt::MatternGvt;
+  explicit CaGvt(NodeRuntime& node) : MatternGvt(node, /*adaptive=*/true) {}
 
  protected:
-  SyncDecision decide_tier(double efficiency, std::uint64_t queue_peak) override {
-    // The trigger arithmetic is shared with the real-thread fence
-    // (exec/gvt_fence) via core/gvt_policy.hpp. The policy is stateful
-    // (hysteresis, queue EWMA, escalation streak) and decide_tier is
-    // called exactly once per round at rank 0, so the policy instance sees
-    // every round's measurement window in order.
-    return policy_.decide(efficiency, queue_peak);
-  }
   metasim::SimTime contribute_overhead() const override {
     return node_.cfg().cluster.ca_round_overhead;
   }
-
- private:
-  CaTriggerPolicy policy_{trigger_policy_from(node_.cfg())};
 };
 
 }  // namespace cagvt::core

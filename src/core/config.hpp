@@ -80,8 +80,9 @@ struct SimulationConfig {
   /// to fully synchronous rounds (0 = never escalate; 1 = the paper's
   /// trip-means-barriers CA-GVT). Spelled `escalate=` in --gvt specs.
   int gvt_escalate_rounds = 3;
-  /// Width C of the execution clamp the throttle tier applies: workers may
-  /// not process events past GVT + C virtual time units. Spelled `clamp=`.
+  /// Width C >= 1 of the execution clamp the throttle tier applies: workers
+  /// may not process events past GVT + C virtual time units. Spelled
+  /// `clamp=`.
   double gvt_throttle_clamp = 4.0;
   /// Hysteresis release margin: the policy only counts a round as calm
   /// when efficiency exceeds threshold + margin. Spelled `release=`.
@@ -160,9 +161,9 @@ struct SimulationConfig {
       throw std::invalid_argument(
           "--gvt escalate must be >= 0 (0 = never escalate to synchronous "
           "rounds, 1 = escalate on the first tripped round)");
-    if (!(gvt_throttle_clamp > 0))
+    if (!(gvt_throttle_clamp >= 1))
       throw std::invalid_argument(
-          "--gvt clamp must be > 0 virtual-time units (the throttle tier "
+          "--gvt clamp must be >= 1 virtual-time unit (the throttle tier "
           "bounds execution to GVT + clamp)");
     if (ca_release_margin < 0 || ca_release_margin > 1)
       throw std::invalid_argument("--gvt release margin must be in [0,1]");

@@ -12,53 +12,30 @@ using metasim::SimTime;
 
 void EpochGvt::begin_epoch() {
   CAGVT_CHECK(phase_ == Phase::kIdle);
-  ++epoch_;
   phase_ = Phase::kCollect;
-  epoch_started_ = node_.engine().now();
   joined_count_ = 0;
   adopted_count_ = 0;
   node_min_lvt_ = pdes::kVtInfinity;
-  node_committed_ = 0;
-  node_processed_ = 0;
   first_wave_ = true;
-  restore_cleared_ = false;
+  // The first node to begin an epoch fixes the cluster-wide recovery /
+  // migration answer, exactly like Mattern. Checkpoint / restore /
+  // migration epochs and escalated CA trips (SyncTier::kSync after
+  // gvt_escalate_rounds bad epochs) run synchronously; throttled epochs
+  // (SyncTier::kThrottle) and everything else keep the pipeline fully
+  // asynchronous. A red-pressure round request is satisfied by the
+  // continuously running cadence — every epoch fossil-collects.
+  open_round(next_tier_ == SyncTier::kSync);
   // Reopen this epoch's own tag bucket: its last reader was epoch e-2's
   // reduction, and no live worker carries the tag anymore (all are in
   // epoch e-1 until they join).
-  ledger_.recycle(EpochLedger::bucket_of(epoch_));
-  plan_ = node_.recovery() != nullptr ? node_.recovery()->plan_round(epoch_)
-                                      : RoundPlan::kNormal;
-  // Epochs are the algorithm's rounds: the first node to begin one fixes
-  // the cluster-wide recovery / migration answer, exactly like Mattern.
-  lb_moves_ = plan_ != RoundPlan::kRestore && node_.lb() != nullptr &&
-              node_.lb()->round_has_moves(epoch_);
-  // Checkpoint / restore / migration epochs and escalated CA trips
-  // (SyncTier::kSync after gvt_escalate_rounds bad epochs) run
-  // synchronously; throttled epochs (SyncTier::kThrottle) and everything
-  // else keep the pipeline fully asynchronous.
-  sync_epoch_ = pending_sync_ || plan_ != RoundPlan::kNormal || lb_moves_;
-  // Overload protection: a red-pressure round request is satisfied by the
-  // continuously running cadence — every epoch fossil-collects.
-  if (node_.flow() != nullptr) node_.flow()->note_round_begin();
+  ledger_.recycle(EpochLedger::bucket_of(round_));
   CAGVT_LOG_TRACE("rank %d begin epoch %llu sync=%d", node_.rank(),
-                  static_cast<unsigned long long>(epoch_), sync_epoch_ ? 1 : 0);
-  node_.trace().round_begin(node_.rank(), epoch_, sync_epoch_);
+                  static_cast<unsigned long long>(round_), sync_ ? 1 : 0);
 }
 
 void EpochGvt::finish_epoch() {
   phase_ = Phase::kIdle;
-  ++stats_.rounds;
-  if (sync_epoch_) ++stats_.sync_rounds;
-  stats_.round_time_total += node_.engine().now() - epoch_started_;
-  // Tier occupancy: plan-forced synchronous epochs count as kSync even
-  // when the adaptive policy did not ask for one.
-  note_round_tier(sync_epoch_ ? SyncTier::kSync
-                  : node_.gvt_throttle_bound() != pdes::kVtInfinity
-                      ? SyncTier::kThrottle
-                      : SyncTier::kAsync);
-  node_.trace().round_end(node_.rank(), epoch_);
-  node_.metrics().counter("gvt.rounds").inc();
-  if (sync_epoch_) node_.metrics().counter("gvt.sync_rounds").inc();
+  close_round(/*tiered=*/true);
   // The pipeline never idles: the next epoch opens immediately, so the
   // transients that accumulated against it during this epoch's reduction
   // are already being drained.
@@ -82,44 +59,10 @@ void EpochGvt::complete_epoch(const net::TreeVal& total) {
   // broadcast. Throttle-first: a trip clamps execution to GVT + C while
   // epochs keep pipelining; only gvt_escalate_rounds consecutive tripped
   // epochs escalate to a quiesced synchronous epoch.
-  efficiency_.update(committed, processed);
-  const double last_efficiency = efficiency_.value();
-  const SyncDecision decision = trigger_.decide(last_efficiency, queue_peak);
-  pending_tier_ = decision.tier;
-  pending_sync_ = decision.tier == SyncTier::kSync;
-  if (decision.tier == SyncTier::kAsync) {
-    node_.release_gvt_throttle();
-  } else {
-    node_.engage_gvt_throttle(gvt, node_.cfg().gvt_throttle_clamp);
-  }
-  node_.trace().gvt_computed(node_.rank(), epoch_, gvt, last_efficiency, queue_peak);
-  if (pending_sync_ != sync_epoch_) {
-    node_.trace().mode_switch(node_.rank(), epoch_, pending_sync_, last_efficiency,
-                              queue_peak);
-    node_.metrics().counter("gvt.mode_switches").inc();
-  }
-  CAGVT_LOG_DEBUG("gvt epoch %llu: gvt=%.3f efficiency=%.3f queue_peak=%llu next_tier=%s",
-                  static_cast<unsigned long long>(epoch_), gvt, last_efficiency,
-                  static_cast<unsigned long long>(queue_peak), to_string(decision.tier));
+  apply_tier(decide(gvt, committed, processed, queue_peak), gvt);
   gvt_value_ = gvt;
   phase_ = Phase::kBroadcast;
-  node_.trace().phase_change(node_.rank(), epoch_, "broadcast");
-}
-
-Process EpochGvt::sys_barrier(bool agent_side, int worker, const char* which) {
-  node_.trace().barrier_enter(node_.rank(), worker, epoch_, which);
-  if (agent_side) {
-    co_await node_.collectives().barrier_agent();
-  } else {
-    co_await node_.collectives().barrier();
-  }
-  node_.trace().barrier_exit(node_.rank(), worker, epoch_, which);
-}
-
-Process EpochGvt::agent_barrier(const char* which) {
-  node_.trace().barrier_enter(node_.rank(), /*worker=*/-1, epoch_, which);
-  co_await node_.collectives().barrier_agent();
-  node_.trace().barrier_exit(node_.rank(), /*worker=*/-1, epoch_, which);
+  node_.trace().phase_change(node_.rank(), round_, "broadcast");
 }
 
 Process EpochGvt::worker_tick(WorkerCtx& worker) {
@@ -135,34 +78,28 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
   // Unlike Mattern's white->red flip there is no separate Collect visit
   // later — the join IS the contribution, which is what lets the epoch
   // reduction start the moment the last local worker has passed here. ------
-  if (phase_ != Phase::kIdle && worker.gvt.epoch < epoch_) {
+  if (phase_ != Phase::kIdle && worker.gvt.epoch < round_) {
     // Epochs never outrun a worker: epoch e+1 begins only after every
     // worker adopted epoch e.
-    CAGVT_CHECK(worker.gvt.epoch + 1 == epoch_);
-    if (sync_epoch_)
-      co_await sys_barrier(agent_inline, worker.index_in_node, "pre-join");
+    CAGVT_CHECK(worker.gvt.epoch + 1 == round_);
+    if (sync_) co_await fence_barrier(agent_inline, worker.index_in_node, "pre-join");
     co_await cm_mutex_.lock();
-    worker.gvt.epoch = epoch_;  // sends are tagged epoch_ % 3 from here on
-    node_.trace().white_red(node_.rank(), worker.index_in_node, epoch_);
+    worker.gvt.epoch = round_;  // sends are tagged round_ % 3 from here on
+    node_.trace().white_red(node_.rank(), worker.index_in_node, round_);
     worker.gvt.contributed = true;
     worker.gvt.adopted = false;
     node_min_lvt_ = std::min(node_min_lvt_, NodeRuntime::worker_min_ts(worker));
     // Windowed decided-event counters for the shared efficiency estimate
     // (identical bookkeeping to MatternGvt's Collect contribution).
-    const auto& ks = worker.kernel.stats();
-    node_committed_ += ks.committed - worker.gvt.last_committed;
-    node_processed_ += (ks.committed - worker.gvt.last_committed) +
-                       (ks.rolled_back - worker.gvt.last_rolled_back);
-    worker.gvt.last_committed = ks.committed;
-    worker.gvt.last_rolled_back = ks.rolled_back;
+    contribute_window(worker);
     CAGVT_LOG_TRACE("rank %d worker %d joined epoch %llu", node_.rank(),
-                    worker.index_in_node, static_cast<unsigned long long>(epoch_));
+                    worker.index_in_node, static_cast<unsigned long long>(round_));
     if (++joined_count_ == cfg.workers_per_node()) {
       // The node's view of the closing bucket is frozen now: no local
       // worker carries tag (e-1)%3 anymore, so its send minimum and this
       // node's share of its balance can enter the reduction.
       phase_ = Phase::kReduce;
-      node_.trace().phase_change(node_.rank(), epoch_, "reduce");
+      node_.trace().phase_change(node_.rank(), round_, "reduce");
     }
     cm_mutex_.unlock();
     worker.gvt.iters_since_round = 0;
@@ -174,30 +111,14 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
   if (worker_held(worker)) co_await node_.read_messages_deferred(worker);
 
   // --- Adopt: the reduction broadcast handed every rank the same value. ----
-  if (phase_ == Phase::kBroadcast && worker.gvt.epoch == epoch_ &&
+  if (phase_ == Phase::kBroadcast && worker.gvt.epoch == round_ &&
       !worker.gvt.adopted) {
     CAGVT_CHECK(worker.gvt.contributed);
     worker.gvt.adopted = true;
-    if (plan_ == RoundPlan::kRestore) {
-      // Rewind instead of adopting; the bucket ledger restarts empty — the
-      // restored cut has no in-flight messages to account for.
-      if (!restore_cleared_) {
-        restore_cleared_ = true;
-        ledger_.clear();
-      }
-      co_await node_.restore_worker(worker, epoch_);
-    } else {
-      const std::uint64_t committed = node_.adopt_gvt(worker, gvt_value_, epoch_);
-      co_await delay(cfg.cluster.fossil_per_event * static_cast<SimTime>(committed));
-      if (plan_ == RoundPlan::kCheckpoint)
-        co_await node_.checkpoint_worker(worker, epoch_, gvt_value_);
-      if (lb_moves_) co_await node_.apply_migrations(worker, epoch_);
-    }
+    co_await fence_step(worker, gvt_value_, agent_inline);
     worker.gvt.iters_since_round = 0;
     CAGVT_LOG_TRACE("rank %d worker %d adopted epoch %llu", node_.rank(),
-                    worker.index_in_node, static_cast<unsigned long long>(epoch_));
-    if (sync_epoch_)
-      co_await sys_barrier(agent_inline, worker.index_in_node, "post-fossil");
+                    worker.index_in_node, static_cast<unsigned long long>(round_));
     if (++adopted_count_ == cfg.workers_per_node()) finish_epoch();
     co_await node_.flush_round_buffer(worker);
   }
@@ -211,14 +132,14 @@ Process EpochGvt::agent_tick(WorkerCtx* self) {
   // stage counter written after the await would clobber that epoch's
   // state and wedge its pre-join barrier. (When the agent is an inline
   // worker, worker_tick already joins with the barrier_agent variant.)
-  if (node_.cfg().has_dedicated_mpi() && sync_epoch_) {
-    if (agent_prejoin_epoch_ < epoch_ && phase_ != Phase::kIdle) {
-      agent_prejoin_epoch_ = epoch_;
-      co_await agent_barrier("pre-join");
+  if (node_.cfg().has_dedicated_mpi() && sync_) {
+    if (agent_prejoin_epoch_ < round_ && phase_ != Phase::kIdle) {
+      agent_prejoin_epoch_ = round_;
+      co_await fence_barrier(true, -1, "pre-join");
     }
-    if (agent_postfossil_epoch_ < epoch_ && phase_ == Phase::kBroadcast) {
-      agent_postfossil_epoch_ = epoch_;
-      co_await agent_barrier("post-fossil");
+    if (agent_postfossil_epoch_ < round_ && phase_ == Phase::kBroadcast) {
+      agent_postfossil_epoch_ = round_;
+      co_await fence_barrier(true, -1, "post-fossil");
     }
   }
 
@@ -228,7 +149,7 @@ Process EpochGvt::agent_tick(WorkerCtx* self) {
   // from the identical reduced value on every rank), so the per-rank wave
   // counters stay aligned with no extra coordination. -----------------------
   if (phase_ == Phase::kReduce) {
-    const int closing = EpochLedger::closing_bucket(epoch_);
+    const int closing = EpochLedger::closing_bucket(round_);
     std::uint64_t committed = 0;
     std::uint64_t processed = 0;
     std::uint64_t queue_peak = 0;
@@ -248,18 +169,18 @@ Process EpochGvt::agent_tick(WorkerCtx* self) {
       if (first_wave_) {
         // Overhead measurements ride only the epoch's first wave; retry
         // waves re-contribute the frozen minima and refreshed balances.
-        v.add_a = static_cast<std::int64_t>(node_committed_);
-        v.add_b = static_cast<std::int64_t>(node_processed_);
+        v.add_a = static_cast<std::int64_t>(window_committed_);
+        v.add_b = static_cast<std::int64_t>(window_processed_);
         v.max_a = static_cast<std::int64_t>(node_.take_mpi_queue_peak());
         first_wave_ = false;
       }
       total = co_await node_.fabric().tree_allreduce(node_.rank(), v);
       CAGVT_LOG_TRACE("epoch %llu wave: sums=%lld/%lld/%lld closing=%d sync=%d",
-                      static_cast<unsigned long long>(epoch_),
+                      static_cast<unsigned long long>(round_),
                       static_cast<long long>(total.sum[0]),
                       static_cast<long long>(total.sum[1]),
                       static_cast<long long>(total.sum[2]), closing,
-                      sync_epoch_ ? 1 : 0);
+                      sync_ ? 1 : 0);
       committed += static_cast<std::uint64_t>(total.add_a);
       processed += static_cast<std::uint64_t>(total.add_b);
       queue_peak = std::max(queue_peak, static_cast<std::uint64_t>(total.max_a));
@@ -270,7 +191,7 @@ Process EpochGvt::agent_tick(WorkerCtx* self) {
       // balance can only fall — and the recycled bucket (zero already).
       const bool drained =
           total.sum[closing] == 0 &&
-          (!sync_epoch_ || (total.sum[0] == 0 && total.sum[1] == 0 && total.sum[2] == 0));
+          (!sync_ || (total.sum[0] == 0 && total.sum[1] == 0 && total.sum[2] == 0));
       if (drained) break;
     }
     net::TreeVal summary = total;

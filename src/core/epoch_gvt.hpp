@@ -46,7 +46,6 @@
 
 #include "core/epoch_ledger.hpp"
 #include "core/gvt.hpp"
-#include "core/gvt_policy.hpp"
 #include "core/node_runtime.hpp"
 
 namespace cagvt::core {
@@ -54,10 +53,9 @@ namespace cagvt::core {
 class EpochGvt : public GvtAlgorithm {
  public:
   explicit EpochGvt(NodeRuntime& node)
-      : GvtAlgorithm(node),
+      : GvtAlgorithm(node, /*adaptive=*/true),
         cm_mutex_(node.engine(), node.cfg().cluster.lock_acquire,
-                  node.cfg().cluster.lock_handoff),
-        trigger_{trigger_policy_from(node.cfg())} {}
+                  node.cfg().cluster.lock_handoff) {}
 
   void on_send(WorkerCtx& worker, pdes::Event& event) override {
     // Same minimum rule as Mattern's min_red: kNull/kNullRequest are
@@ -89,7 +87,7 @@ class EpochGvt : public GvtAlgorithm {
   /// Synchronous epochs hold joined workers exactly like CA-GVT's
   /// synchronous rounds (deferred reads keep the drain progressing).
   bool worker_held(const WorkerCtx& worker) const override {
-    return sync_epoch_ && !worker.gvt.adopted && worker.gvt.epoch == epoch_;
+    return sync_ && !worker.gvt.adopted && worker.gvt.epoch == round_;
   }
   bool agent_done() const override { return phase_ == Phase::kIdle; }
 
@@ -106,8 +104,7 @@ class EpochGvt : public GvtAlgorithm {
 
   // Introspection (tests, experiment reports).
   double last_gvt() const { return gvt_value_; }
-  double last_global_efficiency() const { return efficiency_.value(); }
-  std::uint64_t epochs_started() const { return epoch_; }
+  std::uint64_t epochs_started() const { return round_; }
   const EpochLedger& ledger() const { return ledger_; }
 
  private:
@@ -118,48 +115,31 @@ class EpochGvt : public GvtAlgorithm {
     kBroadcast,  // reduction complete; workers adopt, then the next epoch
   };
 
+  // Epochs are the algorithm's rounds: round_ is the current epoch number
+  // (the first epoch is 1).
   void begin_epoch();
   void finish_epoch();  // chains straight into begin_epoch unless stopped
   /// Every rank runs this identically on the epoch's final reduced wave.
   void complete_epoch(const net::TreeVal& total);
-  metasim::Process agent_barrier(const char* which);
-  metasim::Process sys_barrier(bool agent_side, int worker, const char* which);
+  void restart_cut_accounting() override { ledger_.clear(); }
 
   // Per-node shared control structure, guarded by a contended lock like
   // the real shared-memory structure would be (mirrors MatternGvt).
   metasim::Mutex cm_mutex_;
   EpochLedger ledger_;
-  CaTriggerPolicy trigger_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint64_t epoch_ = 0;  // current epoch number (first epoch is 1)
-  metasim::SimTime epoch_started_ = 0;
 
   int joined_count_ = 0;
   int adopted_count_ = 0;
   double node_min_lvt_ = pdes::kVtInfinity;
-  std::uint64_t node_committed_ = 0;
-  std::uint64_t node_processed_ = 0;
   /// Overhead measurements ride only the epoch's FIRST wave (retry waves
   /// re-contribute the stable minima and refreshed balances but must not
   /// double-count the committed/processed window).
   bool first_wave_ = true;
 
   double gvt_value_ = 0;
-  /// Tier decided for the next epoch. kThrottle clamps execution to
-  /// GVT + gvt_throttle_clamp while epochs keep pipelining asynchronously;
-  /// kSync quiesces the next epoch — reached only when the smoothed signal
-  /// stayed tripped for gvt_escalate_rounds consecutive epochs (the
-  /// deferred-escalation state machine lives in CaTriggerPolicy; every
-  /// rank runs it in lockstep on the identical reduced totals).
-  SyncTier pending_tier_ = SyncTier::kAsync;
-  bool pending_sync_ = false;     // pending_tier_ == kSync (epoch to open)
-  bool sync_epoch_ = false;       // this epoch synchronous
-  EfficiencyEstimator efficiency_;
 
-  RoundPlan plan_ = RoundPlan::kNormal;
-  bool lb_moves_ = false;
-  bool restore_cleared_ = false;
   /// Latest epoch whose pre-join / post-fossil barrier the dedicated MPI
   /// thread has joined (recorded before the await — see agent_tick).
   std::uint64_t agent_prejoin_epoch_ = 0;

@@ -1,0 +1,180 @@
+#include "core/gvt.hpp"
+
+#include "core/barrier_gvt.hpp"
+#include "core/ca_gvt.hpp"
+#include "core/epoch_gvt.hpp"
+#include "core/mattern_gvt.hpp"
+#include "core/node_runtime.hpp"
+#include "util/log.hpp"
+
+namespace cagvt::core {
+
+using metasim::delay;
+using metasim::Process;
+using metasim::SimTime;
+
+GvtAlgorithm::GvtAlgorithm(NodeRuntime& node, bool adaptive)
+    : node_(node),
+      rounds_metric_(node.metrics(), "gvt.rounds"),
+      sync_rounds_metric_(node.metrics(), "gvt.sync_rounds"),
+      mode_switches_metric_(node.metrics(), "gvt.mode_switches"),
+      throttle_engagements_metric_(node.metrics(), "gvt.throttle_engagements"),
+      tier_async_metric_(node.metrics(), "gvt.tier.async"),
+      tier_throttle_metric_(node.metrics(), "gvt.tier.throttle"),
+      tier_sync_metric_(node.metrics(), "gvt.tier.sync"),
+      tier_metric_(node.metrics(), "gvt.tier") {
+  if (adaptive) policy_.emplace(trigger_policy_from(node.cfg()));
+}
+
+void GvtAlgorithm::open_round(bool policy_sync) {
+  ++round_;
+  round_started_ = node_.engine().now();
+  restore_cleared_ = false;
+  window_committed_ = 0;
+  window_processed_ = 0;
+  plan_ = node_.recovery() != nullptr ? node_.recovery()->plan_round(round_)
+                                      : RoundPlan::kNormal;
+  lb_moves_ = plan_ != RoundPlan::kRestore && node_.lb() != nullptr &&
+              node_.lb()->round_has_moves(round_);
+  sync_ = policy_sync || plan_ != RoundPlan::kNormal || lb_moves_;
+  // Overload protection: a red-pressure round request is satisfied by this
+  // round (the controller keeps it visible until adoption so every node's
+  // trigger fires promptly).
+  if (node_.flow() != nullptr) node_.flow()->note_round_begin();
+  node_.trace().round_begin(node_.rank(), round_, sync_);
+}
+
+Process GvtAlgorithm::fence_barrier(bool agent_side, int worker, const char* which) {
+  node_.trace().barrier_enter(node_.rank(), worker, round_, which);
+  if (agent_side) {
+    co_await node_.collectives().barrier_agent();
+  } else {
+    co_await node_.collectives().barrier();
+  }
+  node_.trace().barrier_exit(node_.rank(), worker, round_, which);
+}
+
+Process GvtAlgorithm::fence_step(WorkerCtx& worker, double gvt, bool agent_side,
+                                 bool fence_each) {
+  const int track = worker.index_in_node;
+  if (plan_ == RoundPlan::kRestore) {
+    // Rewind instead of adopting: the computed GVT described the pre-crash
+    // state being discarded, and the restored cut has no in-flight
+    // messages to account for.
+    if (!restore_cleared_) {
+      restore_cleared_ = true;
+      restart_cut_accounting();
+    }
+    co_await node_.restore_worker(worker, round_);
+    if (fence_each) co_await fence_barrier(agent_side, track, "restore-fence");
+  } else {
+    // Barrier GVT has always numbered its adoptions from 0; the lb, flow
+    // and cons round clocks keep that numbering.
+    const std::uint64_t committed =
+        node_.adopt_gvt(worker, gvt, fence_each ? round_ - 1 : round_);
+    co_await delay(node_.cfg().cluster.fossil_per_event * static_cast<SimTime>(committed));
+    if (plan_ == RoundPlan::kCheckpoint) {
+      co_await node_.checkpoint_worker(worker, round_, gvt);
+      // Fence the snapshot (kernel + transport cursors) from the round's
+      // flush: a send slipping in before a slower node's transport
+      // snapshot would tear the checkpoint's sequence-number cut.
+      if (fence_each) co_await fence_barrier(agent_side, track, "ckpt-fence");
+    }
+    // Migrations execute at the same quiesced cut, after any checkpoint
+    // captured the pre-move placement; the barrier keeps every worker's
+    // post-round sends behind the owner-table bump.
+    if (lb_moves_) {
+      co_await node_.apply_migrations(worker, round_);
+      if (fence_each) co_await fence_barrier(agent_side, track, "lb-fence");
+    }
+  }
+  if (!fence_each && sync_) co_await fence_barrier(agent_side, track, "post-fossil");
+}
+
+Process GvtAlgorithm::agent_fence_step() {
+  if (plan_ == RoundPlan::kRestore) {
+    co_await fence_barrier(true, -1, "restore-fence");
+    co_return;
+  }
+  if (plan_ == RoundPlan::kCheckpoint) co_await fence_barrier(true, -1, "ckpt-fence");
+  if (lb_moves_) co_await fence_barrier(true, -1, "lb-fence");
+}
+
+void GvtAlgorithm::contribute_window(WorkerCtx& worker) {
+  const auto& ks = worker.kernel.stats();
+  window_committed_ += ks.committed - worker.gvt.last_committed;
+  window_processed_ += (ks.committed - worker.gvt.last_committed) +
+                       (ks.rolled_back - worker.gvt.last_rolled_back);
+  worker.gvt.last_committed = ks.committed;
+  worker.gvt.last_rolled_back = ks.rolled_back;
+}
+
+SyncTier GvtAlgorithm::decide(double gvt, std::uint64_t committed, std::uint64_t processed,
+                              std::uint64_t queue_peak) {
+  efficiency_.update(committed, processed);
+  const double efficiency = efficiency_.value();
+  // The policy is stateful (hysteresis, queue EWMA, escalation streak), so
+  // it must see every round's window exactly once, in order.
+  const SyncTier next =
+      policy_ ? policy_->decide(efficiency, queue_peak).tier : SyncTier::kAsync;
+  node_.trace().gvt_computed(node_.rank(), round_, gvt, efficiency, queue_peak);
+  const bool sync_next = next == SyncTier::kSync;
+  if (sync_next != sync_) {
+    // The policy flips mode for the next round; the smoothed efficiency and
+    // the round's queue peak are exactly the measurements that triggered it.
+    node_.trace().mode_switch(node_.rank(), round_, sync_next, efficiency, queue_peak);
+    mode_switches_metric_.inc();
+  }
+  CAGVT_LOG_DEBUG("rank %d round %llu: gvt=%.3f efficiency=%.3f queue_peak=%llu next_tier=%s",
+                  node_.rank(), static_cast<unsigned long long>(round_), gvt, efficiency,
+                  static_cast<unsigned long long>(queue_peak), to_string(next));
+  return next;
+}
+
+void GvtAlgorithm::apply_tier(SyncTier tier, double gvt) {
+  next_tier_ = tier;
+  if (cons::apply_tier(clamp_, tier, gvt, node_.cfg().gvt_throttle_clamp)) {
+    ++stats_.throttle_engagements;
+    throttle_engagements_metric_.inc();
+  }
+}
+
+void GvtAlgorithm::close_round(bool tiered) {
+  ++stats_.rounds;
+  stats_.round_time_total += node_.engine().now() - round_started_;
+  rounds_metric_.inc();
+  if (tiered) {
+    const SyncTier tier = sync_              ? SyncTier::kSync
+                          : clamp_.engaged() ? SyncTier::kThrottle
+                                             : SyncTier::kAsync;
+    switch (tier) {
+      case SyncTier::kAsync:
+        tier_async_metric_.inc();
+        break;
+      case SyncTier::kThrottle:
+        ++stats_.throttle_rounds;
+        tier_throttle_metric_.inc();
+        break;
+      case SyncTier::kSync:
+        ++stats_.sync_rounds;
+        sync_rounds_metric_.inc();
+        tier_sync_metric_.inc();
+        break;
+    }
+    tier_metric_.set(static_cast<double>(tier));
+  }
+  node_.trace().round_end(node_.rank(), round_);
+}
+
+std::unique_ptr<GvtAlgorithm> make_gvt(GvtKind kind, NodeRuntime& node) {
+  switch (kind) {
+    case GvtKind::kBarrier: return std::make_unique<BarrierGvt>(node);
+    case GvtKind::kMattern: return std::make_unique<MatternGvt>(node);
+    case GvtKind::kControlledAsync: return std::make_unique<CaGvt>(node);
+    case GvtKind::kEpoch: return std::make_unique<EpochGvt>(node);
+  }
+  CAGVT_CHECK_MSG(false, "unknown GVT kind");
+  return nullptr;
+}
+
+}  // namespace cagvt::core

@@ -19,11 +19,15 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
+#include "cons/clamp.hpp"
 #include "core/config.hpp"
 #include "core/gvt_policy.hpp"
 #include "core/messages.hpp"
+#include "core/recovery.hpp"
 #include "metasim/process.hpp"
+#include "obs/metrics.hpp"
 #include "pdes/event.hpp"
 
 namespace cagvt::core {
@@ -37,12 +41,16 @@ struct GvtAlgoStats {
   /// Rounds that ran asynchronously but under the policy's execution clamp
   /// (SyncTier::kThrottle — the deferred-escalation middle tier).
   std::uint64_t throttle_rounds = 0;
+  /// Times the policy clamp engaged from free-running (∞ -> finite).
+  std::uint64_t throttle_engagements = 0;
   metasim::SimTime round_time_total = 0;  // wall time spanned by rounds
 };
 
 class GvtAlgorithm {
  public:
-  explicit GvtAlgorithm(NodeRuntime& node) : node_(node) {}
+  /// `adaptive` algorithms (CA-GVT, epoch) run the tiered trigger policy
+  /// of core/gvt_policy.hpp; the others always decide kAsync.
+  explicit GvtAlgorithm(NodeRuntime& node, bool adaptive = false);
   virtual ~GvtAlgorithm() = default;
   GvtAlgorithm(const GvtAlgorithm&) = delete;
   GvtAlgorithm& operator=(const GvtAlgorithm&) = delete;
@@ -85,16 +93,111 @@ class GvtAlgorithm {
 
   const GvtAlgoStats& stats() const { return stats_; }
 
+  /// The adaptive policy's execution clamp (SyncTier::kThrottle, DESIGN
+  /// §13): kVtInfinity while the policy is at kAsync. Workers run under it
+  /// composed with the cons window and the flow clamp (std::min).
+  const cons::Clamp& clamp() const { return clamp_; }
+
+  /// Smoothed global efficiency after the last decided round.
+  double last_global_efficiency() const { return efficiency_.value(); }
+
  protected:
-  /// Tier-occupancy accounting shared by the Mattern family and the epoch
-  /// pipeline: call once per completed round/epoch with the tier it
-  /// actually ran at (plan-forced synchronous rounds count as kSync).
-  /// Bumps stats_ and the gvt.tier.* metrics, and mirrors the current tier
-  /// into the gvt.tier gauge.
-  void note_round_tier(SyncTier tier);
+  // --- the round lifecycle shared by the coroutine algorithms -----------
+  // Every round runs open_round -> (cut protocol, with fence_barrier for
+  // its synchronous points) -> contribute_window per worker -> the
+  // policy's decide / apply_tier -> fence_step per worker ->
+  // close_round. Each algorithm supplies only its cut protocol: Barrier's
+  // transit count, Mattern's colour ring, or the epoch tree waves.
+
+  /// Open the next round (++round_): fix its recovery plan and migration
+  /// commitment
+  /// (the first node to ask fixes the cluster-wide answer; restore rounds
+  /// never migrate), decide whether it runs synchronously — `policy_sync`,
+  /// or forced because the fence step must run at a quiesced cut — note it
+  /// with flow control, and trace its beginning.
+  void open_round(bool policy_sync);
+
+  /// Traced global barrier of the current round. `agent_side` selects the
+  /// node's MPI-agent variant (the dedicated MPI thread, or the MPI-duty
+  /// worker joining inline); `worker` is the trace track (-1 = dedicated
+  /// MPI thread).
+  metasim::Process fence_barrier(bool agent_side, int worker, const char* which);
+
+  /// One worker's step at the round's quiesced cut: rewind on a restore
+  /// round (the node's first restorer calls restart_cut_accounting),
+  /// otherwise adopt `gvt`, charge fossil collection, then checkpoint and
+  /// migrate as planned. With `fence_each` (Barrier GVT) every planned
+  /// step is followed by its own global barrier ("restore-fence",
+  /// "ckpt-fence", "lb-fence"); otherwise a synchronous round fences the
+  /// whole step with one "post-fossil" barrier. Either way no message is
+  /// sent between the snapshot/rewind/moves and the barrier release.
+  /// (Barrier GVT also hands the adoption round `round_ - 1` to the
+  /// controllers, its historical numbering.)
+  metasim::Process fence_step(WorkerCtx& worker, double gvt, bool agent_side,
+                              bool fence_each = false);
+  /// The dedicated MPI thread's side of fence_step's per-step barriers.
+  metasim::Process agent_fence_step();
+  /// A restore round discards every in-flight message: zero the
+  /// algorithm's own message accounting (colour counters, epoch ledger).
+  virtual void restart_cut_accounting() {}
+
+  /// Fold this worker's decided-event window (committed and rolled back
+  /// since its previous contribution) into the round's node totals. Decided
+  /// events exclude still-uncommitted history, which would bias the
+  /// efficiency estimate low; windowing lets it track workload phases.
+  void contribute_window(WorkerCtx& worker);
+
+  /// Decide the next round's tier from this round's reduced totals: fold
+  /// the decided-event window into the smoothed efficiency (the EWMA
+  /// shared with the thread backend's fence), step the policy, and trace
+  /// the computed GVT plus a mode switch when the decision flips the
+  /// round's synchrony. Called once per round per deciding rank: rank 0
+  /// in the Mattern family, every rank in lockstep for epochs.
+  SyncTier decide(double gvt, std::uint64_t committed, std::uint64_t processed,
+                  std::uint64_t queue_peak);
+  /// Adopt the tier the next round runs at and apply it to the execution
+  /// clamp (cons::apply_tier), counting engagements.
+  void apply_tier(SyncTier tier, double gvt);
+
+  /// Close the current round: round statistics, trace, gvt.* metrics. `tiered`
+  /// algorithms (all but Barrier GVT) also count synchronous rounds and
+  /// the tier occupancy — plan-forced synchronous rounds count as kSync.
+  void close_round(bool tiered);
 
   NodeRuntime& node_;
   GvtAlgoStats stats_;
+
+  // Per-round state, set by open_round.
+  /// Current (or last closed) round; the first round is 1. Barrier traces
+  /// read it live, so a trace written after a wait names the round the
+  /// node is in by then.
+  std::uint64_t round_ = 0;
+  RoundPlan plan_ = RoundPlan::kNormal;
+  /// The load balancer committed a migration plan to this round.
+  bool lb_moves_ = false;
+  /// This round runs synchronously (quiesced).
+  bool sync_ = false;
+  metasim::SimTime round_started_ = 0;
+  bool restore_cleared_ = false;  // first restorer reset the cut accounting
+  // Node totals of the round's decided-event window (contribute_window).
+  std::uint64_t window_committed_ = 0;
+  std::uint64_t window_processed_ = 0;
+
+  /// Tier decided for the next round (apply_tier).
+  SyncTier next_tier_ = SyncTier::kAsync;
+
+ private:
+  EfficiencyEstimator efficiency_;
+  std::optional<CaTriggerPolicy> policy_;  // engaged for adaptive algorithms
+  cons::Clamp clamp_;
+  obs::LazyCounter rounds_metric_;
+  obs::LazyCounter sync_rounds_metric_;
+  obs::LazyCounter mode_switches_metric_;
+  obs::LazyCounter throttle_engagements_metric_;
+  obs::LazyCounter tier_async_metric_;
+  obs::LazyCounter tier_throttle_metric_;
+  obs::LazyCounter tier_sync_metric_;
+  obs::LazyGauge tier_metric_;
 };
 
 std::unique_ptr<GvtAlgorithm> make_gvt(GvtKind kind, NodeRuntime& node);

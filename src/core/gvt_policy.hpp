@@ -41,7 +41,7 @@ class EfficiencyEstimator {
 /// every intervention of the tier below it.
 ///
 ///   kAsync    — free-running rounds/epochs, no intervention.
-///   kThrottle — execution clamped to GVT + C (cons/clamp.hpp) while the
+///   kThrottle — execution clamped to GVT + C (cons::apply_tier) while the
 ///               rounds themselves stay fully asynchronous. Local damping:
 ///               optimism is capped, nothing stalls the GVT pipeline.
 ///   kSync     — rounds additionally run synchronously (CA barriers /
@@ -100,11 +100,6 @@ class CaTriggerPolicy {
 
   CaTriggerPolicy() = default;
   explicit CaTriggerPolicy(const Config& cfg) : cfg_(cfg) {}
-  /// Thresholds-only construction (tests, legacy call sites).
-  CaTriggerPolicy(double efficiency_threshold, std::uint64_t queue_threshold) {
-    cfg_.efficiency_threshold = efficiency_threshold;
-    cfg_.queue_threshold = queue_threshold;
-  }
 
   /// The raw trip condition — stateless arithmetic over a smoothed
   /// efficiency and a queue occupancy. The real-thread backend's announce

@@ -28,20 +28,22 @@
 //  * Threads adopt the GVT and fossil-collect; they keep the round's
 //    colour until they join the next round.
 //
-// CA-GVT (Algorithm 3) derives from this class and injects its conditional
-// barriers and efficiency bookkeeping through the protected hooks.
+// The round lifecycle around this cut protocol (recovery/migration plan,
+// fence step, tier decision, close) is GvtAlgorithm's. CA-GVT (Algorithm 3)
+// derives from this class: it switches on the tiered policy, whose kSync
+// tier runs the conditional barriers below, and charges its efficiency
+// bookkeeping through contribute_overhead.
 #pragma once
 
 #include "core/gvt.hpp"
-#include "core/gvt_policy.hpp"
 #include "core/node_runtime.hpp"
 
 namespace cagvt::core {
 
 class MatternGvt : public GvtAlgorithm {
  public:
-  explicit MatternGvt(NodeRuntime& node)
-      : GvtAlgorithm(node),
+  explicit MatternGvt(NodeRuntime& node, bool adaptive = false)
+      : GvtAlgorithm(node, adaptive),
         cm_mutex_(node.engine(), node.cfg().cluster.lock_acquire,
                   node.cfg().cluster.lock_handoff) {}
 
@@ -86,7 +88,7 @@ class MatternGvt : public GvtAlgorithm {
   /// is cleared when a worker joins and set at broadcast, so it is the
   /// "in the active round" marker now that colours persist across rounds.)
   bool worker_held(const WorkerCtx& worker) const override {
-    return sync_round_active_ && !worker.gvt.adopted && worker.gvt.color == cur_color_;
+    return sync_ && !worker.gvt.adopted && worker.gvt.color == cur_color_;
   }
   bool agent_done() const override { return phase_ == Phase::kIdle; }
 
@@ -97,7 +99,6 @@ class MatternGvt : public GvtAlgorithm {
 
   // Introspection (tests, experiment reports).
   double last_gvt() const { return gvt_value_; }
-  double last_global_efficiency() const { return efficiency_.value(); }
   std::uint64_t rounds_started() const { return round_; }
 
  protected:
@@ -108,39 +109,22 @@ class MatternGvt : public GvtAlgorithm {
     kBroadcast,  // GVT known; threads adopt
   };
 
-  // --- CA-GVT extension hooks --------------------------------------------
-  /// Which tier should the NEXT round run at, given the smoothed global
-  /// efficiency and the cluster-wide peak MPI queue occupancy measured this
-  /// round? Called exactly once per round at rank 0 (the decision rides the
-  /// broadcast token), so a stateful policy sees every round's window.
-  /// Plain Mattern never intervenes.
-  virtual SyncDecision decide_tier(double efficiency, std::uint64_t queue_peak) {
-    (void)efficiency;
-    (void)queue_peak;
-    return {};
-  }
-  /// Extra per-thread cost of the round's efficiency bookkeeping.
+  /// CA-GVT: extra per-thread cost of the round's efficiency bookkeeping.
   virtual metasim::SimTime contribute_overhead() const { return 0; }
-
-  Phase phase() const { return phase_; }
-  bool sync_round_active() const { return sync_round_active_; }
 
   Phase phase_ = Phase::kIdle;
 
  private:
-  /// Dedicated MPI thread's side of one synchronous-round barrier, traced
-  /// with worker = -1 (the agent track).
-  metasim::Process agent_barrier(const char* which);
   void begin_round();
   void finish_round();
+  void restart_cut_accounting() override {
+    counter_[0] = 0;
+    counter_[1] = 0;
+  }
   void fold_node_into(MatternToken& token);
   void apply_broadcast(const MatternToken& token);
   metasim::Process complete_collect(MatternToken token);  // at rank 0
   metasim::Process send_token(MatternToken token);
-  /// `which` names the CA barrier point for the trace ("pre-red",
-  /// "pre-collect", "post-fossil"); `worker` indexes the arriving thread
-  /// (-1 for a dedicated MPI agent).
-  metasim::Process sys_barrier(bool agent_side, int worker, const char* which);
 
   static int idx(pdes::Color c) { return static_cast<int>(c); }
   static pdes::Color flip(pdes::Color c) {
@@ -159,40 +143,16 @@ class MatternGvt : public GvtAlgorithm {
   bool counting_done_ = false;
   double node_min_lvt_ = pdes::kVtInfinity;
   double node_min_red_ = pdes::kVtInfinity;
-  std::uint64_t node_committed_ = 0;
-  std::uint64_t node_processed_ = 0;
   int contributions_ = 0;
   bool collect_forwarded_ = false;
   int adopted_count_ = 0;
 
   double gvt_value_ = 0;
-  /// Tier decided for the next round (broadcast by rank 0 in the token).
-  SyncTier pending_tier_ = SyncTier::kAsync;
-  /// Tier in effect for the round currently being opened (the SyncFlag of
-  /// Algorithm 3, generalized: kSync adds the conditional barriers, while
-  /// kThrottle only keeps the execution clamp engaged).
-  SyncTier tier_flag_ = SyncTier::kAsync;
-  bool always_sync_ = false;        // window-mode: every round synchronous
-  bool sync_round_active_ = false;  // this round runs the barrier set
-  EfficiencyEstimator efficiency_;  // EWMA of per-round decided efficiency
-
-  /// What this round does besides GVT (checkpoint / restore). Checkpoint
-  /// and restore rounds are forced synchronous: the post-fossil barrier is
-  /// what makes the cut quiescent (no sends between the snapshot/rewind
-  /// and the barrier release).
-  RoundPlan plan_ = RoundPlan::kNormal;
-  /// The load balancer committed a migration plan to this round. Migration
-  /// rounds are forced synchronous for the same reason checkpoints are: the
-  /// post-fossil barrier holds every worker while the last fence arrival
-  /// moves LP packages and bumps the owner table.
-  bool lb_moves_ = false;
-  bool restore_cleared_ = false;  // first restorer zeroed the colour counters
+  bool always_sync_ = false;  // window-mode: every round synchronous
   /// Which of a synchronous round's three barriers the dedicated MPI
   /// thread has joined (combined placement joins inline as a worker).
   int agent_stage_ = 0;
 
-  std::uint64_t round_ = 0;
-  metasim::SimTime round_started_ = 0;
   bool have_token_ = false;
   MatternToken held_;
 };

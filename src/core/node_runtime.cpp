@@ -161,16 +161,19 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
     if (worker.mpi_duty && cfg_.mpi == MpiPlacement::kCombined &&
         worker.iterations % static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period) == 0)
       co_await mpi_progress(&did_work);
-    if (cfg_.mpi == MpiPlacement::kEverywhere) co_await worker_self_mpi(worker, &did_work);
+    if (cfg_.mpi == MpiPlacement::kEverywhere)
+      co_await receive_arrivals(worker.index_in_node, &did_work);
 
     if (!gvt_->worker_held(worker)) {
       co_await drain_inboxes(worker, &did_work);
       int processed = 0;
       for (int b = 0; b < cfg_.batch; ++b) {
-        // Execution horizon: the tightest of the conservative window
-        // (--sync), the flow throttle clamp (--flow), and the adaptive GVT
-        // policy's throttle tier; infinity = free-running.
-        double bound = gvt_throttle_bound_;
+        // Execution horizon: the tightest of the adaptive GVT policy's
+        // throttle tier, the conservative window (--sync) and the flow
+        // throttle clamp (--flow); infinity = free-running. Read before
+        // every event: the agent can move the policy clamp while this
+        // worker is suspended in handle_outcome.
+        double bound = gvt_->clamp().bound();
         if (cons_ != nullptr) bound = std::min(bound, cons_->bound(worker.global_worker));
         if (flow_ != nullptr)
           bound = std::min(bound, flow_->exec_bound(worker.global_worker));
@@ -296,13 +299,16 @@ Process NodeRuntime::mpi_progress(bool* did_work) {
                            spec.event_msg_bytes, NetMsg{event});
     *did_work = true;
   }
-  // Unpack arrivals: events to worker remote-inboxes, tokens to the GVT
-  // algorithm. In the kEverywhere placement other workers consume the same
-  // inbox concurrently (worker_self_mpi), so pops must serialize under the
-  // node MPI lock or per-pair delivery order breaks.
+  co_await receive_arrivals(-1, did_work);
+}
+
+Process NodeRuntime::receive_arrivals(int trace_worker, bool* did_work) {
+  const auto& spec = cfg_.cluster;
+  // In the kEverywhere placement every worker consumes the same inbox
+  // concurrently, so pops must serialize under the node MPI lock or
+  // per-pair delivery order breaks.
   const bool shared_inbox = cfg_.mpi == MpiPlacement::kEverywhere;
-  while (true) {
-    if (fabric_.inbox(node_id_).empty()) break;
+  while (!fabric_.inbox(node_id_).empty()) {
     if (shared_inbox) co_await mpi_lock_.lock();
     auto msg = fabric_.inbox(node_id_).try_recv();
     if (!msg) {
@@ -316,8 +322,9 @@ Process NodeRuntime::mpi_progress(bool* did_work) {
                                                   spec.threaded_mpi_penalty)
                            : base));
     if (shared_inbox) mpi_lock_.unlock();
+    *did_work = true;
     if (const auto* event = std::get_if<pdes::Event>(&*msg)) {
-      trace_.mpi_recv(node_id_, -1, "event");
+      trace_.mpi_recv(node_id_, trace_worker, "event");
       // The destination LP may have migrated off this node while the
       // message was in flight; re-send toward the current owner. The
       // original send is still the only counted send — the receive is
@@ -330,15 +337,19 @@ Process NodeRuntime::mpi_progress(bool* did_work) {
                         "event misrouted within its own epoch");
         lb_->count_forward();
         co_await fabric_.isend(node_id_, owner_node, spec.event_msg_bytes, NetMsg{*event});
-      } else {
-        WorkerCtx& dest = *workers_[static_cast<std::size_t>(owners_.worker_in_node(route))];
-        co_await deliver_to_worker(dest, *event);
+        continue;
       }
+      // Always route through the destination's remote inbox — even for an
+      // everywhere-placement worker's own LPs. Depositing directly could
+      // overtake another worker's still-in-flight delivery of an EARLIER
+      // message for the same destination, breaking the per-pair FIFO order
+      // annihilation depends on.
+      WorkerCtx& dest = *workers_[static_cast<std::size_t>(owners_.worker_in_node(route))];
+      co_await deliver_to_worker(dest, *event);
     } else {
-      trace_.mpi_recv(node_id_, -1, "control");
+      trace_.mpi_recv(node_id_, trace_worker, "control");
       gvt_->on_token(std::get<MatternToken>(*msg));
     }
-    *did_work = true;
   }
 }
 
@@ -348,49 +359,6 @@ Process NodeRuntime::deliver_to_worker(WorkerCtx& dest, pdes::Event event) {
   dest.remote_in.items.push_back(event);
   ++dest.remote_in.total_enqueued;
   dest.remote_in.mutex.unlock();
-}
-
-Process NodeRuntime::worker_self_mpi(WorkerCtx& worker, bool* did_work) {
-  const auto& spec = cfg_.cluster;
-  while (!fabric_.inbox(node_id_).empty()) {
-    co_await mpi_lock_.lock();
-    auto msg = fabric_.inbox(node_id_).try_recv();
-    if (!msg) {
-      mpi_lock_.unlock();
-      break;
-    }
-    const SimTime base = std::holds_alternative<pdes::Event>(*msg) ? spec.mpi_recv_cpu
-                                                                   : spec.control_recv_cpu;
-    co_await delay(cpu(static_cast<SimTime>(static_cast<double>(base) *
-                                            spec.threaded_mpi_penalty)));
-    mpi_lock_.unlock();
-    if (const auto* event = std::get_if<pdes::Event>(&*msg)) {
-      trace_.mpi_recv(node_id_, worker.index_in_node, "event");
-      const pdes::LpId route = pdes::route_lp(*event);
-      const int owner_node = owners_.node_of(route);
-      if (owner_node != node_id_) {
-        // In-flight across a migration fence: forward to the current owner
-        // (see mpi_progress for the transit-counting argument).
-        CAGVT_CHECK_MSG(event->epoch < owners_.version(),
-                        "event misrouted within its own epoch");
-        lb_->count_forward();
-        co_await fabric_.isend(node_id_, owner_node, spec.event_msg_bytes, NetMsg{*event});
-        *did_work = true;
-        continue;
-      }
-      // Always route through the destination's remote inbox — even for this
-      // worker's own LPs. Depositing directly could overtake another
-      // worker's still-in-flight delivery of an EARLIER message for the
-      // same destination, breaking the per-pair FIFO order annihilation
-      // depends on.
-      WorkerCtx& dest = *workers_[static_cast<std::size_t>(owners_.worker_in_node(route))];
-      co_await deliver_to_worker(dest, *event);
-    } else {
-      trace_.mpi_recv(node_id_, worker.index_in_node, "control");
-      gvt_->on_token(std::get<MatternToken>(*msg));
-    }
-    *did_work = true;
-  }
 }
 
 Process NodeRuntime::drain_inboxes(WorkerCtx& worker, bool* did_work) {
@@ -408,38 +376,7 @@ Process NodeRuntime::drain_inboxes(WorkerCtx& worker, bool* did_work) {
     for (const pdes::Event& event : batch) {
       ++worker.gvt.msgs_recv;
       gvt_->on_recv(worker, event);
-      if (event.kind == pdes::MsgKind::kCancelback) {
-        // A returned event is back at (what was) its source worker: park
-        // it until the destination drains. If the source LP has since
-        // migrated the ledger still works — parked minima bound GVT at the
-        // parking worker, and release re-routes to the current owner.
-        flow_->on_cancelback(worker.global_worker, event,
-                             owners_.worker_of(event.dst_lp));
-        *did_work = true;
-        continue;
-      }
-      if (event.kind != pdes::MsgKind::kEvent) {
-        // Conservative control message: consumed by the controller, never
-        // deposited into a kernel. Intercepted after on_recv so transit
-        // counting stays balanced.
-        cons_->on_control(worker.global_worker, event);
-        *did_work = true;
-        continue;
-      }
-      if (owners_.worker_of(event.dst_lp) != worker.global_worker) {
-        // Delivered before a migration fence, drained after it: the
-        // destination LP now lives elsewhere. Re-send: the forward is a
-        // fresh counted send (the matching receive happens at the new
-        // owner), so transit counting and min-red accounting stay exact.
-        CAGVT_CHECK_MSG(event.epoch < owners_.version(),
-                        "event misrouted within its own epoch");
-        lb_->count_forward();
-        co_await send_event(worker, event);
-        *did_work = true;
-        continue;
-      }
-      pdes::Outcome out = worker.kernel.deposit(event);
-      co_await handle_outcome(worker, std::move(out));
+      co_await dispatch_received(worker, event);
       *did_work = true;
     }
   }
@@ -466,29 +403,38 @@ Process NodeRuntime::flush_round_buffer(WorkerCtx& worker) {
   if (worker.round_buffer.empty()) co_return;
   std::vector<pdes::Event> batch;
   batch.swap(worker.round_buffer);
-  for (const pdes::Event& event : batch) {
-    if (event.kind == pdes::MsgKind::kCancelback) {
-      flow_->on_cancelback(worker.global_worker, event, owners_.worker_of(event.dst_lp));
-      continue;
-    }
-    if (event.kind != pdes::MsgKind::kEvent) {
-      cons_->on_control(worker.global_worker, event);
-      continue;
-    }
-    if (owners_.worker_of(event.dst_lp) != worker.global_worker) {
-      // Read (and counted as received) before this round's migration
-      // fence moved the destination LP away. Forward it to the new owner:
-      // the re-send is counted like any send and its receive-time stamp is
-      // >= the just-adopted GVT, so the next round's bound stays valid.
-      CAGVT_CHECK_MSG(event.epoch < owners_.version(),
-                      "event misrouted within its own epoch");
-      lb_->count_forward();
-      co_await send_event(worker, event);
-      continue;
-    }
-    pdes::Outcome out = worker.kernel.deposit(event);
-    co_await handle_outcome(worker, std::move(out));
+  for (const pdes::Event& event : batch) co_await dispatch_received(worker, event);
+}
+
+Process NodeRuntime::dispatch_received(WorkerCtx& worker, const pdes::Event& event) {
+  // Called after the receive was counted (on_recv), so transit counting
+  // stays balanced whichever way the message goes.
+  if (event.kind == pdes::MsgKind::kCancelback) {
+    // A returned event is back at (what was) its source worker: park it
+    // until the destination drains. If the source LP has since migrated
+    // the ledger still works — parked minima bound GVT at the parking
+    // worker, and release re-routes to the current owner.
+    flow_->on_cancelback(worker.global_worker, event, owners_.worker_of(event.dst_lp));
+    co_return;
   }
+  if (event.kind != pdes::MsgKind::kEvent) {
+    // Conservative control message: consumed by the controller, never
+    // deposited into a kernel.
+    cons_->on_control(worker.global_worker, event);
+    co_return;
+  }
+  if (owners_.worker_of(event.dst_lp) != worker.global_worker) {
+    // Delivered (or read, in a synchronous round) before a migration fence
+    // moved the destination LP away. Re-send: the forward is a fresh
+    // counted send (the matching receive happens at the new owner), and
+    // its receive-time stamp is >= the adopted GVT, so transit counting,
+    // min-red accounting and the next round's bound stay exact.
+    CAGVT_CHECK_MSG(event.epoch < owners_.version(), "event misrouted within its own epoch");
+    lb_->count_forward();
+    co_await send_event(worker, event);
+    co_return;
+  }
+  co_await handle_outcome(worker, worker.kernel.deposit(event));
 }
 
 double NodeRuntime::worker_min_ts(WorkerCtx& worker) {

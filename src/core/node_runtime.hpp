@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "cons/clamp.hpp"
 #include "cons/controller.hpp"
 #include "core/config.hpp"
 #include "core/gvt.hpp"
@@ -225,28 +224,6 @@ class NodeRuntime {
   bool stopped() const { return stop_; }
   double final_gvt() const { return final_gvt_; }
 
-  // --- adaptive-policy throttle (SyncTier::kThrottle, DESIGN §13) --------
-  /// Engage (or slide) the node-wide execution clamp at GVT + width. Called
-  /// by the GVT algorithms when the tiered trigger policy answers
-  /// kThrottle/kSync; workers then process no event past the bound while
-  /// rounds keep running — the local damping that replaces an immediate
-  /// quiesce. Monotone via the shared cons/clamp.hpp rule.
-  void engage_gvt_throttle(double gvt, double width) {
-    if (gvt_throttle_bound_ == pdes::kVtInfinity) {
-      ++gvt_throttle_engagements_;
-      metrics_.counter("gvt.throttle_engagements").inc();
-      gvt_throttle_bound_ = gvt + width;
-    } else {
-      gvt_throttle_bound_ = cons::advance_clamp(gvt_throttle_bound_, gvt, width);
-    }
-  }
-  /// Release the clamp (the policy reached kAsync after its calm window).
-  void release_gvt_throttle() { gvt_throttle_bound_ = pdes::kVtInfinity; }
-  /// Current policy clamp (kVtInfinity = disengaged). Composed with the
-  /// cons window and flow clamp via std::min in worker_main.
-  double gvt_throttle_bound() const { return gvt_throttle_bound_; }
-  std::uint64_t gvt_throttle_engagements() const { return gvt_throttle_engagements_; }
-
   /// MPI progress: outbox -> wire, wire -> worker remote inboxes, GVT
   /// tokens -> algorithm. Runs on the dedicated MPI thread or inline on
   /// the MPI-duty worker.
@@ -337,10 +314,18 @@ class NodeRuntime {
   /// has cooled down (src/flow).
   metasim::Process flow_tick(WorkerCtx& worker, bool* did_work);
   metasim::Process send_event(WorkerCtx& worker, pdes::Event event);
-  /// kEverywhere placement: this worker performs its own MPI calls under
-  /// the node-wide MPI lock (threaded-MPI contention model).
-  metasim::Process worker_self_mpi(WorkerCtx& worker, bool* did_work);
+  /// Unpack the node's network arrivals: events are forwarded toward a
+  /// migrated LP's current owner node or delivered to the owning worker's
+  /// remote inbox, tokens go to the GVT algorithm. Runs on the MPI agent
+  /// and, in the kEverywhere placement, on every worker (which perform
+  /// their own MPI calls under the node-wide MPI lock — the threaded-MPI
+  /// contention model). `trace_worker` is the trace track (-1 = agent).
+  metasim::Process receive_arrivals(int trace_worker, bool* did_work);
   metasim::Process deliver_to_worker(WorkerCtx& dest, pdes::Event event);
+  /// Hand one received message to its consumer: cancelbacks park in the
+  /// flow ledger, conservative control messages go to cons, an event for
+  /// an LP that migrated away is forwarded, anything else is deposited.
+  metasim::Process dispatch_received(WorkerCtx& worker, const pdes::Event& event);
 
   metasim::Engine& engine_;
   Fabric& fabric_;
@@ -368,9 +353,6 @@ class NodeRuntime {
 
   bool stop_ = false;
   double final_gvt_ = 0;
-  /// GVT-policy throttle clamp (kVtInfinity when the policy is at kAsync).
-  double gvt_throttle_bound_ = pdes::kVtInfinity;
-  std::uint64_t gvt_throttle_engagements_ = 0;
   int ckpt_done_ = 0;     // workers finished in the current checkpoint round
   int restore_done_ = 0;  // workers finished in the current restore round
   std::uint64_t mpi_queue_peak_ = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "cons/controller.hpp"
-#include "core/epoch_gvt.hpp"
-#include "core/mattern_gvt.hpp"
 #include "core/node_runtime.hpp"
 #include "fault/fault_engine.hpp"
 #include "flow/controller.hpp"
@@ -161,13 +159,12 @@ SimulationResult Simulation::run(double max_wall_seconds) {
   result.sync_rounds = gvt0.stats().sync_rounds;
   result.gvt_throttle_rounds = gvt0.stats().throttle_rounds;
   for (auto& node : nodes)
-    result.gvt_throttle_engagements += node->gvt_throttle_engagements();
+    result.gvt_throttle_engagements += node->gvt().stats().throttle_engagements;
   result.gvt_round_seconds = metasim::to_seconds(gvt0.stats().round_time_total);
   result.avg_lvt_disparity = profiler.avg_lvt_disparity();
-  if (const auto* mattern = dynamic_cast<const MatternGvt*>(&gvt0))
-    result.last_global_efficiency = mattern->last_global_efficiency();
-  if (const auto* epoch = dynamic_cast<const EpochGvt*>(&gvt0))
-    result.last_global_efficiency = epoch->last_global_efficiency();
+  // Barrier GVT measures no efficiency.
+  if (cfg_.gvt != GvtKind::kBarrier)
+    result.last_global_efficiency = gvt0.last_global_efficiency();
   result.gvt_trace = profiler.gvt_trace();
   result.net_frames = fabric.network().frames_sent();
   result.tree_frames = fabric.tree_frames();

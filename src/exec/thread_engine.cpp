@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "cons/clamp.hpp"
-
 namespace cagvt::exec {
 
 using core::GvtKind;
@@ -17,7 +15,8 @@ using core::MpiPlacement;
 ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model& model)
     : cfg_(cfg),
       model_(model),
-      map_(cfg.nodes, cfg.workers_per_node(), cfg.lps_per_worker) {
+      map_(cfg.nodes, cfg.workers_per_node(), cfg.lps_per_worker),
+      trigger_(core::trigger_policy_from(cfg)) {
   cfg_.validate();
   if (!cfg_.faults.empty())
     throw std::invalid_argument(
@@ -70,7 +69,7 @@ ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model&
   fence_ = std::make_unique<GvtFence>(
       parties, cfg_.end_vt, in_flight_,
       [this] { return std::chrono::steady_clock::now() >= deadline_; },
-      core::trigger_policy_from(cfg_), adaptive);
+      trigger_, adaptive);
 }
 
 void ThreadEngine::route_externals(Worker& self, int src_node,
@@ -142,11 +141,8 @@ void ThreadEngine::maybe_announce(Worker& self, int w) {
       // exceeds the bound (the stateless raw check — the stateful
       // hysteresis/escalation policy is coordinator-owned inside the
       // fence); the escalated kSync tier shortens the initiator's cadence.
-      const core::CaTriggerPolicy policy{
-          cfg_.ca_efficiency_threshold,
-          static_cast<std::uint64_t>(cfg_.ca_queue_threshold)};
       const auto backlog = in_flight_.load(std::memory_order_relaxed);
-      if (backlog > 0 && policy.trips(1.0, static_cast<double>(backlog))) {
+      if (backlog > 0 && trigger_.trips(1.0, static_cast<double>(backlog))) {
         fence_->announce(/*control=*/true);
         break;
       }
@@ -180,12 +176,12 @@ void ThreadEngine::flow_tick(Worker& self) {
   const core::FlowPressurePolicy policy{static_cast<std::uint64_t>(cfg_.flow.mem)};
   const std::size_t pool = self.kernel.pending_size() + self.kernel.live_history();
   self.tier = policy.classify(pool);
-  if (self.tier != core::PressureTier::kGreen && self.bound == pdes::kVtInfinity) {
-    // Engage immediately — waiting for the next adoption would let
-    // speculation overshoot the budget by a whole round's worth of history.
+  // Engage immediately — waiting for the next adoption would let
+  // speculation overshoot the budget by a whole round's worth of history.
+  // (An engaged clamp already covers last_gvt + clamp: the slide is a no-op.)
+  if (self.tier != core::PressureTier::kGreen &&
+      self.flow_clamp.engage(self.last_gvt, cfg_.flow.clamp))
     ++self.throttle_engagements;
-    self.bound = self.last_gvt + std::max(cfg_.flow.clamp, 1.0);
-  }
   if (self.tier == core::PressureTier::kRed && !self.red_announced) {
     // Pressure signaling through the fence: pull the fleet into a round so
     // the adopted GVT can fossil-collect the pool. One announce per round —
@@ -203,42 +199,8 @@ void ThreadEngine::flow_adopt(Worker& self, double gvt) {
   const std::size_t pool = self.kernel.pending_size() + self.kernel.live_history();
   self.tier = policy.classify(pool);
   self.red_announced = false;
-  const pdes::VirtualTime width = std::max(cfg_.flow.clamp, 1.0);
   const bool stressed = storming || self.tier != core::PressureTier::kGreen;
-  if (stressed) {
-    self.calm = 0;
-    if (self.bound == pdes::kVtInfinity) {
-      ++self.throttle_engagements;
-      self.bound = gvt + width;
-    } else {
-      self.bound = cons::advance_clamp(self.bound, gvt, width);
-    }
-  } else if (self.bound != pdes::kVtInfinity) {
-    if (++self.calm >= kCalmRounds) {
-      self.bound = pdes::kVtInfinity;
-      self.calm = 0;
-    } else {
-      // Cooling off: keep the clamp sliding so progress never stalls while
-      // the hysteresis window drains.
-      self.bound = cons::advance_clamp(self.bound, gvt, width);
-    }
-  }
-}
-
-void ThreadEngine::policy_adopt(Worker& self, double gvt) {
-  // Apply the fence's decided tier to this worker's execution clamp. The
-  // tier was published by reduce() earlier in the same round, so every
-  // worker reads the fresh decision here (barriers order the accesses).
-  const core::SyncTier tier = fence_->tier();
-  const pdes::VirtualTime width = std::max(cfg_.gvt_throttle_clamp, 1.0);
-  if (tier == core::SyncTier::kAsync) {
-    self.policy_bound = pdes::kVtInfinity;
-  } else if (self.policy_bound == pdes::kVtInfinity) {
-    ++self.gvt_throttle_engagements;
-    self.policy_bound = gvt + width;
-  } else {
-    self.policy_bound = cons::advance_clamp(self.policy_bound, gvt, width);
-  }
+  if (self.flow_clamp.step(stressed, gvt, cfg_.flow.clamp)) ++self.throttle_engagements;
 }
 
 FenceContribution ThreadEngine::contribute(Worker& self) {
@@ -268,7 +230,8 @@ void ThreadEngine::worker_main(int w) {
     bool executed = false;
     // The flow clamp and the GVT trigger policy's clamp compose by taking
     // the tighter bound (same rule as the coroutine backend's worker loop).
-    const pdes::VirtualTime bound = std::min(self.bound, self.policy_bound);
+    const pdes::VirtualTime bound =
+        std::min(self.flow_clamp.bound(), self.policy_clamp.bound());
     for (int i = 0; i < cfg_.batch; ++i) {
       pdes::Outcome out = bound == pdes::kVtInfinity
                               ? self.kernel.process_next()
@@ -295,7 +258,11 @@ void ThreadEngine::worker_main(int w) {
           [&](double gvt) {
             self.kernel.sample_pool_peak();
             if (flow_on) flow_adopt(self, gvt);
-            policy_adopt(self, gvt);
+            // The fence's decided tier (published by reduce() earlier in
+            // this round; the barriers order the accesses).
+            if (cons::apply_tier(self.policy_clamp, fence_->tier(), gvt,
+                                 cfg_.gvt_throttle_clamp))
+              ++self.gvt_throttle_engagements;
             self.kernel.fossil_collect(gvt);
           });
       self.iters_since_round = 0;

@@ -20,7 +20,7 @@
 //     fence (announce a round so fossil collection can relieve the pool);
 //     there is no cancelback here — no simulated transport to carry events
 //     back — so relief is forced rounds plus the optimism clamp. The shared
-//     arithmetic (core::FlowPressurePolicy, cons::advance_clamp,
+//     arithmetic (core::FlowPressurePolicy, cons::Clamp,
 //     flow::StormDetector) is identical to the coroutine backend's
 //     flow::Controller, so pressure semantics cannot diverge.
 //
@@ -43,6 +43,7 @@
 #include <memory>
 #include <vector>
 
+#include "cons/clamp.hpp"
 #include "core/config.hpp"
 #include "core/gvt_policy.hpp"
 #include "core/simulation.hpp"
@@ -87,16 +88,15 @@ class ThreadEngine {
     // --- overload protection (--flow=bounded), all owner-thread-only ------
     flow::StormDetector storm{};            // threshold set by the ctor
     core::PressureTier tier = core::PressureTier::kGreen;
-    pdes::VirtualTime bound = pdes::kVtInfinity;  // throttle clamp
+    cons::Clamp flow_clamp;                 // throttle clamp
     pdes::VirtualTime last_gvt = 0;         // last adopted round value
-    int calm = 0;                           // hysteresis rounds below stress
     bool red_announced = false;             // one forced announce per round
     std::uint64_t throttle_engagements = 0;
     std::uint64_t forced_rounds = 0;
 
     // --- GVT trigger-policy clamp (CA-GVT / epoch tiers), owner-thread-only.
     // Composes with the flow clamp by std::min in the worker loop.
-    pdes::VirtualTime policy_bound = pdes::kVtInfinity;
+    cons::Clamp policy_clamp;
     std::uint64_t gvt_throttle_engagements = 0;
   };
 
@@ -121,19 +121,11 @@ class ThreadEngine {
   /// round (once per round) so fossil collection can relieve the pool.
   void flow_tick(Worker& self);
   /// Per-round overload bookkeeping at GVT adoption: fold the storm
-  /// detector, reclassify pressure, and engage/advance/release the
-  /// throttle clamp with hysteresis (same rule as flow::Controller).
+  /// detector, reclassify pressure, and step the throttle clamp's
+  /// hysteresis (cons::Clamp::step, as flow::Controller does).
   void flow_adopt(Worker& self, double gvt);
-  /// Apply the fence's decided SyncTier to this worker's policy clamp at
-  /// GVT adoption (engage/advance on kThrottle/kSync, release on kAsync —
-  /// same advance_clamp rule as the coroutine backend's NodeRuntime).
-  void policy_adopt(Worker& self, double gvt);
 
   bool uses_outbox() const { return cfg_.mpi != core::MpiPlacement::kEverywhere; }
-
-  /// Throttle hysteresis: stress-free rounds before the clamp releases
-  /// (mirrors flow::Controller::kCalmRounds).
-  static constexpr int kCalmRounds = 2;
 
   core::SimulationConfig cfg_;
   const pdes::Model& model_;
@@ -142,6 +134,9 @@ class ThreadEngine {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<MpscQueue<pdes::Event>>> outboxes_;  // one per node
   std::unique_ptr<GvtFence> fence_;
+  /// CA-GVT's raw trip condition for the any-worker queue announce (the
+  /// stateful policy itself is coordinator-owned inside the fence).
+  core::CaTriggerPolicy trigger_;
   std::chrono::steady_clock::time_point deadline_{};
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cons/clamp.hpp"
 #include "util/assert.hpp"
 
 namespace cagvt::flow {
@@ -15,9 +14,8 @@ Controller::Controller(const FlowConfig& cfg, int workers,
       tier_(static_cast<std::size_t>(workers), core::PressureTier::kGreen),
       quota_(static_cast<std::size_t>(workers), 0),
       detectors_(static_cast<std::size_t>(workers), StormDetector(cfg.storm)),
-      bound_(static_cast<std::size_t>(workers), pdes::kVtInfinity),
+      clamps_(static_cast<std::size_t>(workers)),
       gvt_(static_cast<std::size_t>(workers), 0.0),
-      calm_(static_cast<std::size_t>(workers), 0),
       parked_(static_cast<std::size_t>(workers)) {
   CAGVT_CHECK_MSG(cfg_.enabled(), "flow::Controller built with --flow=off");
   CAGVT_CHECK(workers_ > 0);
@@ -51,13 +49,12 @@ core::PressureTier Controller::on_tick(int worker, std::size_t pending,
                             static_cast<std::int64_t>(policy.budget));
   }
 
-  if (tier != core::PressureTier::kGreen && bound_[w] == pdes::kVtInfinity) {
-    // Engage the throttle the moment pressure appears — waiting for the
-    // next round adoption would let speculation overshoot the budget by a
-    // whole round's worth of history.
+  // Engage the throttle the moment pressure appears — waiting for the next
+  // round adoption would let speculation overshoot the budget by a whole
+  // round's worth of history. (An engaged clamp already covers gvt_[w] +
+  // clamp, so the slide is a no-op.)
+  if (tier != core::PressureTier::kGreen && clamps_[w].engage(gvt_[w], cfg_.clamp))
     ++throttle_engagements_;
-    bound_[w] = gvt_[w] + clamp_width();
-  }
 
   if (tier == core::PressureTier::kRed) {
     ++red_ticks_;
@@ -172,26 +169,9 @@ void Controller::on_gvt(std::int64_t round, int worker, pdes::VirtualTime gvt) {
                        det.storming(), det.secondary_fraction(), det.depth_ewma());
 
   // Throttle: engage/refresh the horizon clamp while the worker is either
-  // storming or above green pressure; release after kCalmRounds calm rounds.
-  const bool stressed =
-      det.storming() || tier_[w] != core::PressureTier::kGreen;
-  if (stressed) {
-    calm_[w] = 0;
-    if (bound_[w] == pdes::kVtInfinity) {
-      ++throttle_engagements_;
-      bound_[w] = gvt + clamp_width();
-    } else {
-      bound_[w] = cons::advance_clamp(bound_[w], gvt, clamp_width());
-    }
-  } else if (bound_[w] != pdes::kVtInfinity) {
-    if (++calm_[w] >= kCalmRounds) {
-      bound_[w] = pdes::kVtInfinity;
-      calm_[w] = 0;
-    } else {
-      // Still cooling off: keep the clamp sliding so progress continues.
-      bound_[w] = cons::advance_clamp(bound_[w], gvt, clamp_width());
-    }
-  }
+  // storming or above green pressure; release after calm rounds.
+  const bool stressed = det.storming() || tier_[w] != core::PressureTier::kGreen;
+  if (clamps_[w].step(stressed, gvt, cfg_.clamp)) ++throttle_engagements_;
 }
 
 std::vector<pdes::Event> Controller::parked_events(int worker) const {
@@ -217,8 +197,7 @@ void Controller::restore_parked(int worker, const std::vector<pdes::Event>& park
 void Controller::on_restore() {
   std::fill(tier_.begin(), tier_.end(), core::PressureTier::kGreen);
   std::fill(quota_.begin(), quota_.end(), 0);
-  std::fill(bound_.begin(), bound_.end(), pdes::kVtInfinity);
-  std::fill(calm_.begin(), calm_.end(), 0);
+  for (cons::Clamp& clamp : clamps_) clamp.release();
   for (StormDetector& det : detectors_) det.reset();
   round_requested_ = false;
   round_inflight_ = false;

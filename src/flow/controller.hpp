@@ -24,9 +24,9 @@
 //
 //  * adaptive optimism throttling — on storm or yellow pressure a worker's
 //    execution horizon is clamped to GVT + clamp (the Korniss-Novotny
-//    suppression), per worker, sliding forward with each round via the
-//    shared cons/clamp.hpp rule, and self-releasing after consecutive calm
-//    rounds (hysteresis).
+//    suppression), per worker, sliding forward with each round and
+//    self-releasing after consecutive calm rounds (cons::Clamp::step, the
+//    hysteresis the thread backend shares).
 //
 // Threading: like cons::Controller, one instance serves the whole cluster
 // on the coroutine backend's single metasim engine thread — no locking.
@@ -40,6 +40,7 @@
 #include <deque>
 #include <vector>
 
+#include "cons/clamp.hpp"
 #include "core/gvt_policy.hpp"
 #include "fault/fault_engine.hpp"
 #include "flow/flow_config.hpp"
@@ -128,7 +129,7 @@ class Controller {
 
   /// Largest recv_ts `worker` may execute (kVtInfinity when unthrottled).
   pdes::VirtualTime exec_bound(int worker) const {
-    return bound_[static_cast<std::size_t>(worker)];
+    return clamps_[static_cast<std::size_t>(worker)].bound();
   }
 
   // --- recovery ------------------------------------------------------------
@@ -166,12 +167,7 @@ class Controller {
   };
 
   static constexpr std::int64_t kMaxHoldRounds = 2;
-  static constexpr int kCalmRounds = 2;       // throttle-release hysteresis
   static constexpr std::size_t kReleaseBatch = 64;
-
-  pdes::VirtualTime clamp_width() const {
-    return static_cast<pdes::VirtualTime>(cfg_.clamp < 1.0 ? 1.0 : cfg_.clamp);
-  }
 
   FlowConfig cfg_;
   int workers_;
@@ -181,9 +177,8 @@ class Controller {
   std::vector<core::PressureTier> tier_;
   std::vector<std::size_t> quota_;
   std::vector<StormDetector> detectors_;
-  std::vector<pdes::VirtualTime> bound_;
+  std::vector<cons::Clamp> clamps_;     // throttle clamp, per worker
   std::vector<pdes::VirtualTime> gvt_;  // last adopted GVT, per worker
-  std::vector<int> calm_;
   std::vector<std::deque<Parked>> parked_;
 
   std::int64_t last_round_ = -1;

@@ -11,7 +11,10 @@ void FlowConfig::validate() const {
   if (mem <= 0) throw std::invalid_argument("--flow: mem budget must be > 0 events");
   if (!(storm > 0.0) || !(storm <= 1.0))
     throw std::invalid_argument("--flow: storm threshold must be in (0, 1]");
-  if (!(clamp > 0)) throw std::invalid_argument("--flow: clamp window must be > 0");
+  if (!(clamp >= 1))
+    throw std::invalid_argument(
+        "--flow: clamp window must be >= 1 virtual-time unit (the throttle "
+        "bounds execution to GVT + clamp)");
 }
 
 FlowConfig parse_flow(std::string_view text) {

@@ -33,8 +33,8 @@ struct FlowConfig {
   /// rollback cascade is declared a storm and throttling engages.
   double storm = 0.5;
 
-  /// Throttle window W: while throttled, a worker only executes events
-  /// with recv_ts <= last GVT + clamp (the Korniss-Novotny horizon
+  /// Throttle window W >= 1: while throttled, a worker only executes
+  /// events with recv_ts <= last GVT + clamp (the Korniss-Novotny horizon
   /// suppression, applied per worker and self-releasing with hysteresis).
   double clamp = 4.0;
 

@@ -128,4 +128,44 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Slot>> slots_;
 };
 
+/// Counter handle that registers its name on first use rather than at
+/// construction, so a metric a run never touches stays absent from
+/// snapshots and exports (which names appear says which mechanisms fired).
+/// Build it once; the first inc() walks the name map, later ones are a
+/// pointer bump. `name` must outlive the handle (pass a string literal).
+class LazyCounter {
+ public:
+  LazyCounter(MetricsRegistry& registry, const char* name) : registry_(&registry), name_(name) {}
+  void inc(std::uint64_t by = 1) {
+    if (!handle_.valid()) {
+      if (!registry_->enabled()) return;
+      handle_ = registry_->counter(name_);
+    }
+    handle_.inc(by);
+  }
+
+ private:
+  MetricsRegistry* registry_;
+  const char* name_;
+  CounterHandle handle_;
+};
+
+/// Gauge counterpart of LazyCounter: registered by its first set().
+class LazyGauge {
+ public:
+  LazyGauge(MetricsRegistry& registry, const char* name) : registry_(&registry), name_(name) {}
+  void set(double v) {
+    if (!handle_.valid()) {
+      if (!registry_->enabled()) return;
+      handle_ = registry_->gauge(name_);
+    }
+    handle_.set(v);
+  }
+
+ private:
+  MetricsRegistry* registry_;
+  const char* name_;
+  GaugeHandle handle_;
+};
+
 }  // namespace cagvt::obs

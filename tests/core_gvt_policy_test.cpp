@@ -185,13 +185,6 @@ TEST(CaTriggerPolicyTest, StatelessTripsMatchesRawThresholds) {
   EXPECT_FALSE(policy.trips(0.80, 16));  // boundary: strict comparisons
 }
 
-TEST(CaTriggerPolicyTest, LegacyTwoArgConstructorKeepsDefaults) {
-  CaTriggerPolicy policy(0.70, 8);
-  EXPECT_DOUBLE_EQ(policy.config().efficiency_threshold, 0.70);
-  EXPECT_EQ(policy.config().queue_threshold, 8u);
-  EXPECT_EQ(policy.config().escalate_after, 3);
-}
-
 TEST(CaTriggerPolicyTest, TierToStringRoundTrips) {
   EXPECT_STREQ(to_string(SyncTier::kAsync), "async");
   EXPECT_STREQ(to_string(SyncTier::kThrottle), "throttle");
@@ -250,9 +243,11 @@ TEST(GvtSpecTest, ValidateRejectsOutOfRangeKnobs) {
   SimulationConfig cfg;
   cfg.gvt_escalate_rounds = -1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = SimulationConfig{};
-  cfg.gvt_throttle_clamp = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  for (const double clamp : {0.0, 0.5}) {
+    cfg = SimulationConfig{};
+    cfg.gvt_throttle_clamp = clamp;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << "clamp=" << clamp;
+  }
   cfg = SimulationConfig{};
   cfg.ca_queue_alpha = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);

@@ -64,6 +64,7 @@ TEST(FlowParseTest, RejectsBadParameters) {
   EXPECT_THROW(parse_flow("bounded,storm=0"), std::invalid_argument);
   EXPECT_THROW(parse_flow("bounded,storm=1.5"), std::invalid_argument);
   EXPECT_THROW(parse_flow("bounded,clamp=0"), std::invalid_argument);
+  EXPECT_THROW(parse_flow("bounded,clamp=0.5"), std::invalid_argument);
   // Typos name the offending key.
   expect_error_mentions([] { parse_flow("bounded,memm=512"); }, {"memm"});
 }
