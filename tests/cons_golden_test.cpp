@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "cons/cons_config.hpp"
@@ -23,6 +24,11 @@ struct ConsCase {
   const char* model;
   const char* options;
 };
+
+// ctest names each discovered case after the printed parameter. Without a
+// printer gtest dumps the struct's bytes, and these are string pointers, so
+// the name would change with the load address from one run to the next.
+void PrintTo(const ConsCase& c, std::ostream* os) { *os << c.model << ' ' << c.options; }
 
 class ConservativeGolden : public ::testing::TestWithParam<ConsCase> {};
 

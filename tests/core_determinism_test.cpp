@@ -4,6 +4,8 @@
 // event set for a given model.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/simulation.hpp"
 #include "models/registry.hpp"
 
@@ -14,6 +16,11 @@ struct ModelCase {
   const char* model;
   const char* options;
 };
+
+// ctest names each discovered case after the printed parameter. Without a
+// printer gtest dumps the struct's bytes, and these are string pointers, so
+// the name would change with the load address from one run to the next.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.model << ' ' << c.options; }
 
 class ModelSweep : public ::testing::TestWithParam<ModelCase> {};
 
