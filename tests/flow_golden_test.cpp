@@ -4,8 +4,9 @@
 // algorithm under a budget tight enough to drive red pressure must commit
 // exactly the sequential oracle's event set, byte-identical to the same
 // run with `--flow=off`. The interaction tests pin the two hardest
-// compositions: cancelback x crash recovery (parked events are checkpoint
-// state) and the real-thread backend's fence-signaled pressure path.
+// compositions: every subset of {flow, lb, crash recovery} x GVT kind x
+// MPI placement (parked events are checkpoint state) and the real-thread backend's
+// fence-signaled pressure path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "exec/backend.hpp"
 #include "fault/fault_parse.hpp"
 #include "flow/flow_config.hpp"
+#include "lb/lb_config.hpp"
 #include "models/hotspot_phold.hpp"
 #include "models/phold.hpp"
 #include "pdes/seqref.hpp"
@@ -149,30 +151,57 @@ TEST(FlowGoldenMatrix, MemSqueezeDrivesReliefUnderFlow) {
 }
 
 TEST(FlowGoldenMatrix, CancelbackComposesWithCrashRecovery) {
-  // Parked events are the ONLY copy of their event, so they are checkpoint
-  // state: a crash mid-pressure must rewind the parked ledger with the
-  // cluster and still reconverge on the oracle's committed set.
-  const SimulationConfig base = flow_config();
-  const pdes::LpMap map = Simulation::make_map(base);
-  const models::HotspotPholdModel model(map, adversarial_params());
-  pdes::SequentialReference ref(model, map, {.end_vt = base.end_vt, .seed = base.seed});
-  ref.run();
+  // The controllers all ride the same GVT round, so their compositions are
+  // where the round lifecycle is stressed hardest: parked events are the
+  // ONLY copy of their event (checkpoint state a crash must rewind), a
+  // forced flow round can chase a migration fence, and the inline MPI
+  // agent of combined/everywhere placements must not deposit inside a
+  // quiesced round. Every non-empty subset of {flow, lb, crash recovery},
+  // under every GVT kind and MPI placement, must reconverge on the
+  // oracle's committed set.
+  enum : unsigned { kFlow = 1, kLb = 2, kCrash = 4 };
+  for (const MpiPlacement placement :
+       {MpiPlacement::kDedicated, MpiPlacement::kCombined, MpiPlacement::kEverywhere}) {
+    // Combined and everywhere run one more worker per node than dedicated,
+    // so the LP map, the model and the oracle are per placement.
+    SimulationConfig base = flow_config();
+    base.mpi = placement;
+    const pdes::LpMap map = Simulation::make_map(base);
+    const models::HotspotPholdModel model(map, adversarial_params());
+    pdes::SequentialReference ref(model, map, {.end_vt = base.end_vt, .seed = base.seed});
+    ref.run();
 
-  for (const GvtKind kind :
-       {GvtKind::kMattern, GvtKind::kControlledAsync, GvtKind::kEpoch}) {
-    SimulationConfig cfg = base;
-    cfg.gvt = kind;
-    cfg.flow = flow::parse_flow("bounded,mem=32,clamp=2");
-    cfg.ckpt_every = 3;
-    cfg.faults = fault::parse_fault_schedule("crash:node=1,t=500us,down=300us");
-    Simulation sim(cfg, model);
-    const SimulationResult r = sim.run(180.0);
-    const std::string where = std::string(to_string(kind)) + "/crash";
-    ASSERT_TRUE(r.completed) << where;
-    EXPECT_GE(r.restores, 1u) << where;
-    EXPECT_EQ(r.events.committed, ref.committed()) << where;
-    EXPECT_EQ(r.committed_fingerprint, ref.fingerprint()) << where;
-    EXPECT_EQ(r.state_hash, ref.state_hash()) << where;
+    for (const GvtKind kind : {GvtKind::kBarrier, GvtKind::kMattern,
+                               GvtKind::kControlledAsync, GvtKind::kEpoch}) {
+      for (unsigned mask = 1; mask <= (kFlow | kLb | kCrash); ++mask) {
+        SimulationConfig cfg = base;
+        cfg.gvt = kind;
+        std::string where = std::string(to_string(kind)) + "/" +
+                            std::string(to_string(placement));
+        if (mask & kFlow) {
+          cfg.flow = flow::parse_flow("bounded,mem=32,clamp=2");
+          where += "/flow";
+        }
+        if (mask & kLb) {
+          cfg.lb = lb::parse_lb("roughness");
+          where += "/lb";
+        }
+        if (mask & kCrash) {
+          cfg.ckpt_every = 3;
+          cfg.faults = fault::parse_fault_schedule("crash:node=1,t=500us,down=300us");
+          where += "/crash";
+        }
+        Simulation sim(cfg, model);
+        const SimulationResult r = sim.run(180.0);
+        ASSERT_TRUE(r.completed) << where;
+        if (mask & kCrash) {
+          EXPECT_GE(r.restores, 1u) << where;
+        }
+        EXPECT_EQ(r.events.committed, ref.committed()) << where;
+        EXPECT_EQ(r.committed_fingerprint, ref.fingerprint()) << where;
+        EXPECT_EQ(r.state_hash, ref.state_hash()) << where;
+      }
+    }
   }
 }
 
