@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/node_runtime.hpp"
+#include "core/simulation.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -162,8 +164,9 @@ void Controller::tick(int worker, VirtualTime pending_min, int processed,
   if (want > -kVtInfinity) request_up_to(worker, want, out);
 }
 
-void Controller::on_gvt(std::int64_t round, int worker, VirtualTime lvt, VirtualTime gvt) {
-  (void)worker;
+void Controller::adopt(std::uint64_t round_number, core::WorkerCtx& worker, double gvt) {
+  const auto round = static_cast<std::int64_t>(round_number);
+  const VirtualTime lvt = worker.kernel.local_min_ts();
   if (cfg_.kind == SyncKind::kWindow) {
     // Safe because window rounds are fully synchronous: gvt is the true
     // global minimum with nothing in transit, and events generated inside
@@ -185,6 +188,31 @@ void Controller::on_gvt(std::int64_t round, int worker, VirtualTime lvt, Virtual
   horizon_min_ = std::min(horizon_min_, lvt);
   horizon_max_ = std::max(horizon_max_, lvt);
   ++horizon_seen_;
+}
+
+void Controller::batch_tick(core::WorkerCtx& worker, int processed,
+                            std::vector<pdes::Event>& out) {
+  tick(worker.global_worker, worker.kernel.local_min_ts(), processed, out);
+}
+
+bool Controller::consume(core::WorkerCtx& worker, const pdes::Event& event) {
+  if (event.kind != pdes::MsgKind::kNull && event.kind != pdes::MsgKind::kNullRequest)
+    return false;
+  on_control(worker.global_worker, event);
+  return true;
+}
+
+void Controller::report(core::SimulationResult& result, obs::MetricsRegistry& metrics) const {
+  result.cons_null_msgs = null_msgs_;
+  result.cons_req_msgs = req_msgs_;
+  result.cons_utilization = utilization();
+  result.cons_null_ratio = null_ratio();
+  result.cons_horizon_width = avg_horizon_width();
+  metrics.gauge("cons.null_msgs").set(static_cast<double>(result.cons_null_msgs));
+  metrics.gauge("cons.req_msgs").set(static_cast<double>(result.cons_req_msgs));
+  metrics.gauge("cons.utilization").set(result.cons_utilization);
+  metrics.gauge("cons.null_ratio").set(result.cons_null_ratio);
+  metrics.gauge("cons.horizon_width").set(result.cons_horizon_width);
 }
 
 double Controller::utilization() const {

@@ -59,12 +59,13 @@
 
 #include "cons/clamp.hpp"
 #include "cons/cons_config.hpp"
+#include "core/round_hook.hpp"
 #include "pdes/event.hpp"
 #include "pdes/mapping.hpp"
 
 namespace cagvt::cons {
 
-class Controller {
+class Controller final : public core::RoundHook {
  public:
   /// Throws std::invalid_argument when the model's lookahead is not
   /// strictly positive — conservative synchronization cannot make progress
@@ -72,8 +73,17 @@ class Controller {
   Controller(const ConsConfig& cfg, const pdes::LpMap& map, pdes::VirtualTime lookahead,
              pdes::VirtualTime end_vt);
 
-  const ConsConfig& config() const { return cfg_; }
-  pdes::VirtualTime lookahead() const { return la_; }
+  // --- round hook: tick, bound and on_control (below) for the hook's worker
+  bool in_worker_loop() const override { return true; }
+  pdes::VirtualTime exec_bound(int worker) const override { return bound(worker); }
+  void batch_tick(core::WorkerCtx& worker, int processed,
+                  std::vector<pdes::Event>& out) override;
+  /// Advance the window bound and sample the time-horizon width from the
+  /// per-worker LVTs.
+  void adopt(std::uint64_t round, core::WorkerCtx& worker, double gvt) override;
+  /// Consumes null messages and null requests.
+  bool consume(core::WorkerCtx& worker, const pdes::Event& event) override;
+  void report(core::SimulationResult& result, obs::MetricsRegistry& metrics) const override;
 
   /// Largest recv_ts `worker` may safely execute (inclusive).
   pdes::VirtualTime bound(int worker) const;
@@ -89,10 +99,6 @@ class Controller {
   /// the normal transport.
   void tick(int worker, pdes::VirtualTime pending_min, int processed,
             std::vector<pdes::Event>& out);
-
-  /// Called when `worker` adopts a finished GVT round: advances the window
-  /// bound and samples the time-horizon width from the per-worker LVTs.
-  void on_gvt(std::int64_t round, int worker, pdes::VirtualTime lvt, pdes::VirtualTime gvt);
 
   // --- update statistics (Kolakowska & Novotny) ---------------------------
   std::uint64_t null_msgs() const { return null_msgs_; }

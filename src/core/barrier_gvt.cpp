@@ -5,9 +5,7 @@ namespace cagvt::core {
 using metasim::Process;
 
 Process BarrierGvt::worker_tick(WorkerCtx& worker) {
-  // Red memory pressure forces an early round (see MatternGvt::worker_tick).
-  const bool flow_forced = node_.flow() != nullptr && node_.flow()->round_requested();
-  if (worker.gvt.iters_since_round < node_.cfg().gvt_interval && !flow_forced) co_return;
+  if (!round_due(worker)) co_return;
   worker.gvt.iters_since_round = 0;
 
   // In combined/everywhere placements worker 0 doubles as the MPI agent

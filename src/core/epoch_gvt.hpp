@@ -121,7 +121,11 @@ class EpochGvt : public GvtAlgorithm {
   void finish_epoch();  // chains straight into begin_epoch unless stopped
   /// Every rank runs this identically on the epoch's final reduced wave.
   void complete_epoch(const net::TreeVal& total);
-  void restart_cut_accounting() override { ledger_.clear(); }
+  /// A restore also rewinds GVT: the regression check restarts from zero.
+  void restart_cut_accounting() override {
+    ledger_.clear();
+    gvt_value_ = 0;
+  }
 
   // Per-node shared control structure, guarded by a contended lock like
   // the real shared-memory structure would be (mirrors MatternGvt).

@@ -25,7 +25,7 @@
 #include "core/config.hpp"
 #include "core/gvt_policy.hpp"
 #include "core/messages.hpp"
-#include "core/recovery.hpp"
+#include "core/round_hook.hpp"
 #include "metasim/process.hpp"
 #include "obs/metrics.hpp"
 #include "pdes/event.hpp"
@@ -109,12 +109,15 @@ class GvtAlgorithm {
   // close_round. Each algorithm supplies only its cut protocol: Barrier's
   // transit count, Mattern's colour ring, or the epoch tree waves.
 
-  /// Open the next round (++round_): fix its recovery plan and migration
-  /// commitment
-  /// (the first node to ask fixes the cluster-wide answer; restore rounds
-  /// never migrate), decide whether it runs synchronously — `policy_sync`,
-  /// or forced because the fence step must run at a quiesced cut — note it
-  /// with flow control, and trace its beginning.
+  /// Is a round due for this worker: its interval clock ran out, or a hook
+  /// requests one (flow's red pressure forces fossil collection)?
+  bool round_due(const WorkerCtx& worker) const;
+
+  /// Open the next round (++round_): the hooks fix its plan and migration
+  /// commitment (the first node to ask fixes the cluster-wide answer;
+  /// restore rounds never migrate), decide whether it runs synchronously —
+  /// `policy_sync`, or forced because the fence step must run at a
+  /// quiesced cut — and trace its beginning.
   void open_round(bool policy_sync);
 
   /// Traced global barrier of the current round. `agent_side` selects the
@@ -165,6 +168,7 @@ class GvtAlgorithm {
   void close_round(bool tiered);
 
   NodeRuntime& node_;
+  const RoundHooks& hooks_;
   GvtAlgoStats stats_;
 
   // Per-round state, set by open_round.

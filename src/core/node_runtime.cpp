@@ -70,8 +70,7 @@ NodeRuntime::NodeRuntime(metasim::Engine& engine, Fabric& fabric, const Simulati
                          const pdes::LpMap& map, pdes::OwnerTable& owners,
                          const pdes::Model& model, int node_id, ClusterProfiler& profiler,
                          obs::TraceRecorder& trace, obs::MetricsRegistry& metrics,
-                         const fault::FaultEngine* faults, RecoveryManager* recovery,
-                         lb::Controller* lb, cons::Controller* cons, flow::Controller* flow)
+                         const fault::FaultEngine* faults, const RoundHooks& hooks)
     : engine_(engine),
       fabric_(fabric),
       cfg_(cfg),
@@ -83,10 +82,7 @@ NodeRuntime::NodeRuntime(metasim::Engine& engine, Fabric& fabric, const Simulati
       trace_(trace),
       metrics_(metrics),
       faults_(faults),
-      recovery_(recovery),
-      lb_(lb),
-      cons_(cons),
-      flow_(flow),
+      hooks_(hooks),
       regional_msgs_metric_(metrics.counter("net.regional_msgs")),
       remote_msgs_metric_(metrics.counter("net.remote_msgs")),
       mpi_outbox_(engine, cfg.cluster),
@@ -96,34 +92,27 @@ NodeRuntime::NodeRuntime(metasim::Engine& engine, Fabric& fabric, const Simulati
                    cfg.cluster.pthread_barrier_cost(cfg.threads_per_node)) {
   const pdes::KernelConfig kcfg{.end_vt = cfg.end_vt,
                                 .seed = cfg.seed,
-                                .dynamic_placement = lb_ != nullptr,
-                                .cancelback = flow_ != nullptr};
+                                .dynamic_placement = cfg.lb.enabled(),
+                                .cancelback = cfg.flow.enabled()};
   for (int w = 0; w < cfg.workers_per_node(); ++w) {
     const bool duty = !cfg.has_dedicated_mpi() && w == 0;
     workers_.push_back(std::make_unique<WorkerCtx>(*this, engine, cfg.cluster, model, map,
                                                    map.global_worker(node_id, w), kcfg, duty));
     workers_.back()->kernel.set_observability(
         &trace_, metrics_.histogram("kernel.rollback_depth", 0, 64, 16), node_id, w);
-    if (lb_ != nullptr)
-      lb_->register_kernel(workers_.back()->global_worker, &workers_.back()->kernel);
-    if (flow_ != nullptr) {
-      const int gw = workers_.back()->global_worker;
-      workers_.back()->kernel.set_rollback_hook(
-          [this, gw](std::uint64_t depth, bool secondary) {
-            flow_->note_rollback(gw, depth, secondary);
-          });
-    }
   }
+  for (const auto& hook : hooks_)
+    if (hook->in_worker_loop()) loop_hooks_.push_back(hook.get());
 }
 
 void NodeRuntime::start() {
   gvt_ = make_gvt(cfg_.gvt, *this);
   // The window executor's advance is only safe against a fully drained
   // reduction — force every round synchronous regardless of --gvt kind.
-  if (cons_ != nullptr && cons_->config().kind == cons::SyncKind::kWindow)
-    gvt_->set_always_sync();
+  if (cfg_.sync.kind == cons::SyncKind::kWindow) gvt_->set_always_sync();
   for (auto& worker : workers_) {
     worker->kernel.init();
+    for (const auto& hook : hooks_) hook->attach(*worker);
     spawn(engine_, worker_main(*worker));
   }
   if (cfg_.has_dedicated_mpi()) spawn(engine_, mpi_main());
@@ -131,18 +120,11 @@ void NodeRuntime::start() {
 
 std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_t round) {
   profiler_.record_lvt(round, worker.kernel.local_min_ts());
-  if (cons_ != nullptr)
-    cons_->on_gvt(static_cast<std::int64_t>(round), worker.global_worker,
-                  worker.kernel.local_min_ts(), gvt);
-  if (lb_ != nullptr)
-    lb_->observe(round, worker.global_worker, worker.kernel.local_min_ts(), gvt,
-                 worker.kernel.drain_lp_work());
+  for (const auto& hook : hooks_) hook->adopt(round, worker, gvt);
   if (node_id_ == 0 && worker.index_in_node == 0) profiler_.record_gvt(gvt);
   // Round-sampled pool peak (cheap, always on): captured before fossil
   // collection frees history, so the peak reflects the round's high-water.
   worker.kernel.sample_pool_peak();
-  if (flow_ != nullptr)
-    flow_->on_gvt(static_cast<std::int64_t>(round), worker.global_worker, gvt);
   const std::uint64_t committed = worker.kernel.fossil_collect(gvt);
   if (gvt > cfg_.end_vt && !stop_) {
     stop_ = true;
@@ -152,6 +134,7 @@ std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_
 }
 
 Process NodeRuntime::worker_main(WorkerCtx& worker) {
+  std::vector<pdes::Event> hook_out;
   while (!stop_ || !gvt_->worker_done(worker)) {
     if (faults_ != nullptr && faults_->node_down(node_id_)) {
       co_await halt_if_down();
@@ -174,9 +157,8 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
         // every event: the agent can move the policy clamp while this
         // worker is suspended in handle_outcome.
         double bound = gvt_->clamp().bound();
-        if (cons_ != nullptr) bound = std::min(bound, cons_->bound(worker.global_worker));
-        if (flow_ != nullptr)
-          bound = std::min(bound, flow_->exec_bound(worker.global_worker));
+        for (const RoundHook* hook : loop_hooks_)
+          bound = std::min(bound, hook->exec_bound(worker.global_worker));
         pdes::Outcome out = bound == pdes::kVtInfinity
                                 ? worker.kernel.process_next()
                                 : worker.kernel.process_next_bounded(bound);
@@ -185,8 +167,28 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
         did_work = true;
         co_await handle_outcome(worker, std::move(out));
       }
-      if (cons_ != nullptr) co_await cons_tick(worker, processed, &did_work);
-      if (flow_ != nullptr) co_await flow_tick(worker, &did_work);
+      for (RoundHook* hook : loop_hooks_) {
+        hook->batch_tick(worker, processed, hook_out);
+        for (pdes::Event& event : hook_out) {
+          co_await send_event(worker, event);
+          did_work = true;
+        }
+        hook_out.clear();
+      }
+      for (RoundHook* hook : loop_hooks_) {
+        hook->batch_release(worker, hook_out);
+        for (pdes::Event& event : hook_out) {
+          if (owners_.worker_of(event.dst_lp) == worker.global_worker) {
+            // The destination LP migrated onto this worker while the event
+            // was held: deposit directly (send_event forbids self-sends).
+            co_await handle_outcome(worker, worker.kernel.deposit(event));
+          } else {
+            co_await send_event(worker, event);
+          }
+          did_work = true;
+        }
+        hook_out.clear();
+      }
     }
 
     ++worker.iterations;
@@ -194,53 +196,6 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
     if (worker.mpi_duty) co_await gvt_->agent_tick(&worker);
     co_await gvt_->worker_tick(worker);
     if (!did_work) co_await delay(cpu(cfg_.cluster.idle_poll));
-  }
-}
-
-Process NodeRuntime::cons_tick(WorkerCtx& worker, int processed, bool* did_work) {
-  std::vector<pdes::Event> control;
-  cons_->tick(worker.global_worker, worker.kernel.local_min_ts(), processed, control);
-  for (pdes::Event& event : control) {
-    co_await send_event(worker, event);
-    *did_work = true;
-  }
-}
-
-Process NodeRuntime::flow_tick(WorkerCtx& worker, bool* did_work) {
-  const int gw = worker.global_worker;
-  const PressureTier tier =
-      flow_->on_tick(gw, worker.kernel.pending_size(), worker.kernel.live_history());
-  if (tier == PressureTier::kRed) {
-    const std::size_t quota = flow_->cancelback_quota(gw);
-    if (quota > 0) {
-      // Return the furthest-ahead pending events to their senders. Events
-      // this worker sent to itself can't ride the transport back — they
-      // stay and drain through the throttled execution instead.
-      std::vector<pdes::Event> back = worker.kernel.extract_cancelback(
-          quota,
-          [&](const pdes::Event& e) { return owners_.worker_of(e.src_lp) != gw; });
-      flow_->note_cancelback(gw, back.size());
-      for (pdes::Event& event : back) {
-        event.kind = pdes::MsgKind::kCancelback;
-        co_await send_event(worker, event);
-        *did_work = true;
-      }
-    }
-  }
-  // Re-deliver parked events whose destinations cooled down (or whose hold
-  // expired — that bound is what keeps GVT progressing under sustained red).
-  std::vector<pdes::Event> out;
-  flow_->release(gw, out);
-  for (pdes::Event& event : out) {
-    if (owners_.worker_of(event.dst_lp) == gw) {
-      // The destination LP migrated onto the parking worker while the event
-      // was held: deposit directly (send_event forbids self-sends).
-      pdes::Outcome o = worker.kernel.deposit(event);
-      co_await handle_outcome(worker, std::move(o));
-    } else {
-      co_await send_event(worker, event);
-    }
-    *did_work = true;
   }
 }
 
@@ -335,7 +290,7 @@ Process NodeRuntime::receive_arrivals(int trace_worker, bool* did_work) {
       if (owner_node != node_id_) {
         CAGVT_CHECK_MSG(event->epoch < owners_.version(),
                         "event misrouted within its own epoch");
-        lb_->count_forward();
+        for (const auto& hook : hooks_) hook->note_forward();
         co_await fabric_.isend(node_id_, owner_node, spec.event_msg_bytes, NetMsg{*event});
         continue;
       }
@@ -409,19 +364,12 @@ Process NodeRuntime::flush_round_buffer(WorkerCtx& worker) {
 Process NodeRuntime::dispatch_received(WorkerCtx& worker, const pdes::Event& event) {
   // Called after the receive was counted (on_recv), so transit counting
   // stays balanced whichever way the message goes.
-  if (event.kind == pdes::MsgKind::kCancelback) {
-    // A returned event is back at (what was) its source worker: park it
-    // until the destination drains. If the source LP has since migrated
-    // the ledger still works — parked minima bound GVT at the parking
-    // worker, and release re-routes to the current owner.
-    flow_->on_cancelback(worker.global_worker, event, owners_.worker_of(event.dst_lp));
-    co_return;
-  }
   if (event.kind != pdes::MsgKind::kEvent) {
-    // Conservative control message: consumed by the controller, never
-    // deposited into a kernel.
-    cons_->on_control(worker.global_worker, event);
-    co_return;
+    // Cancelbacks and conservative control messages are consumed by their
+    // controller, never deposited into a kernel.
+    for (const auto& hook : hooks_)
+      if (hook->consume(worker, event)) co_return;
+    CAGVT_CHECK_MSG(false, "no controller consumes a received message kind");
   }
   if (owners_.worker_of(event.dst_lp) != worker.global_worker) {
     // Delivered (or read, in a synchronous round) before a migration fence
@@ -430,7 +378,7 @@ Process NodeRuntime::dispatch_received(WorkerCtx& worker, const pdes::Event& eve
     // its receive-time stamp is >= the adopted GVT, so transit counting,
     // min-red accounting and the next round's bound stay exact.
     CAGVT_CHECK_MSG(event.epoch < owners_.version(), "event misrouted within its own epoch");
-    lb_->count_forward();
+    for (const auto& hook : hooks_) hook->note_forward();
     co_await send_event(worker, event);
     co_return;
   }
@@ -448,10 +396,10 @@ double NodeRuntime::worker_min_ts(WorkerCtx& worker) {
     if ((event.kind == pdes::MsgKind::kEvent || event.kind == pdes::MsgKind::kCancelback) &&
         event.recv_ts < lowest)
       lowest = event.recv_ts;
-  // Parked (cancelled-back, not yet re-released) events bound GVT too:
-  // their re-delivery must never be overrun by a round.
-  if (worker.node.flow_ != nullptr)
-    lowest = std::min(lowest, worker.node.flow_->parked_min(worker.global_worker));
+  // Events a hook holds (flow's parked cancelbacks) bound GVT too: their
+  // re-delivery must never be overrun by a round.
+  for (const auto& hook : worker.node.hooks_)
+    lowest = std::min(lowest, hook->min_ts(worker.global_worker));
   return lowest;
 }
 
@@ -474,8 +422,9 @@ Process NodeRuntime::send_event(WorkerCtx& worker, pdes::Event event) {
   // An anti-message whose positive twin is parked right here (cancelled
   // back and not yet re-released) annihilates in place: neither half is
   // ever sent, so no counting happens for either.
-  if (flow_ != nullptr && event.anti && flow_->absorb_anti(worker.global_worker, event))
-    co_return;
+  if (event.anti)
+    for (const auto& hook : hooks_)
+      if (hook->absorb_anti(worker.global_worker, event)) co_return;
   event.epoch = owners_.version();
   ++worker.gvt.msgs_sent;
   gvt_->on_send(worker, event);  // stamps the colour, updates counters
@@ -517,83 +466,10 @@ Process NodeRuntime::send_event(WorkerCtx& worker, pdes::Event event) {
   mpi_outbox_.mutex.unlock();
 }
 
-Process NodeRuntime::checkpoint_worker(WorkerCtx& worker, std::uint64_t round, double gvt) {
-  const auto& spec = cfg_.cluster;
-  co_await delay(cpu(spec.ckpt_base +
-                     spec.ckpt_per_lp * static_cast<SimTime>(worker.kernel.lp_count())));
-  WorkerSnapshot snap{worker.kernel.snapshot(), worker.round_buffer,
-                      flow_ != nullptr ? flow_->parked_events(worker.global_worker)
-                                       : std::vector<pdes::Event>{}};
-  trace_.ckpt_write(node_id_, worker.index_in_node, round, gvt, snap.bytes());
-  recovery_->save_worker(round, gvt, worker.global_worker, std::move(snap));
-  if (++ckpt_done_ == cfg_.workers_per_node()) {
-    ckpt_done_ = 0;
-    recovery_->node_checkpoint_done(node_id_, round, fabric_.snapshot_transport(node_id_));
-  }
-}
-
-Process NodeRuntime::apply_migrations(WorkerCtx& worker, std::uint64_t round) {
-  if (lb_ == nullptr) co_return;
-  const std::vector<pdes::Migration>& plan = lb_->moves_for(round);
-  if (plan.empty()) co_return;
-  const auto& spec = cfg_.cluster;
-  int moved = 0;        // LPs this worker packs (out) or installs (in)
-  int cross_node = 0;   // ... of which cross the network
-  for (const pdes::Migration& m : plan) {
-    const bool out = m.src_worker == worker.global_worker;
-    const bool in = m.dst_worker == worker.global_worker;
-    if (!out && !in) continue;
-    ++moved;
-    if (map_.node_of_worker(m.src_worker) != map_.node_of_worker(m.dst_worker)) ++cross_node;
-  }
-  if (moved > 0) {
-    SimTime cost = spec.migrate_base + spec.migrate_per_lp * static_cast<SimTime>(moved);
-    cost += (spec.net_latency + spec.transmit_time(spec.migrate_msg_bytes)) *
-            static_cast<SimTime>(cross_node);
-    co_await delay(cpu(cost));
-  }
-  // The cluster-wide last arrival moves the LPs and bumps the table.
-  lb_->worker_at_fence(round);
-}
-
-Process NodeRuntime::restore_worker(WorkerCtx& worker, std::uint64_t round) {
-  const auto& spec = cfg_.cluster;
-  const ClusterCheckpoint& ckpt = recovery_->restore_source();
-  co_await delay(cpu(spec.restore_base +
-                     spec.restore_per_lp * static_cast<SimTime>(worker.kernel.lp_count())));
-  // The restore cut must be quiesced: GVT counting drained every in-flight
-  // message before this round's adopt step, so nothing may be waiting in
-  // the inboxes (it would be silently erased by the rewind).
-  CAGVT_CHECK_MSG(worker.regional_in.items.empty() && worker.remote_in.items.empty(),
-                  "restore cut not quiesced (worker inbox)");
-  const WorkerSnapshot& snap = ckpt.workers[static_cast<std::size_t>(worker.global_worker)];
-  worker.kernel.restore(snap.kernel);
-  worker.round_buffer = snap.round_buffer;
-  if (flow_ != nullptr) flow_->restore_parked(worker.global_worker, snap.parked);
-  // The checkpointed cut has no in-transit messages, so message-counting
-  // state restarts from zero; the efficiency window restarts from the
-  // restored commit counters.
-  worker.gvt.msgs_sent = 0;
-  worker.gvt.msgs_recv = 0;
-  worker.gvt.min_red = pdes::kVtInfinity;
-  worker.gvt.last_committed = snap.kernel.stats.committed;
-  worker.gvt.last_rolled_back = snap.kernel.stats.rolled_back;
-  trace_.restore(node_id_, worker.index_in_node, round, ckpt.round, ckpt.gvt, snap.bytes());
-  if (++restore_done_ == cfg_.workers_per_node()) {
-    restore_done_ = 0;
-    CAGVT_CHECK_MSG(mpi_outbox_.items.empty(), "restore cut not quiesced (mpi outbox)");
-    fabric_.restore_transport(node_id_, recovery_->restore_epoch(),
-                              ckpt.transport[static_cast<std::size_t>(node_id_)]);
-    recovery_->node_restore_complete(node_id_, round);
-    // The recovery manager rewound the owner table to the checkpoint's cut
-    // (node_restore_complete, cluster-wide last node); the balancer's
-    // estimators and any pending plan describe a timeline that no longer
-    // exists.
-    if (lb_ != nullptr) lb_->on_restore();
-    // Pressure tiers, storm EWMAs and throttle clamps describe the
-    // discarded timeline; the reinstalled parked ledgers stay.
-    if (flow_ != nullptr) flow_->on_restore();
-  }
+void NodeRuntime::restore_transport(std::uint32_t epoch,
+                                    const net::TransportSnapshot& snapshot) {
+  CAGVT_CHECK_MSG(mpi_outbox_.items.empty(), "restore cut not quiesced (mpi outbox)");
+  fabric_.restore_transport(node_id_, epoch, snapshot);
 }
 
 pdes::KernelStats NodeRuntime::aggregate_kernel_stats() const {

@@ -14,14 +14,11 @@
 #include <memory>
 #include <vector>
 
-#include "cons/controller.hpp"
 #include "core/config.hpp"
 #include "core/gvt.hpp"
 #include "core/messages.hpp"
-#include "core/recovery.hpp"
+#include "core/round_hook.hpp"
 #include "fault/fault_engine.hpp"
-#include "flow/controller.hpp"
-#include "lb/controller.hpp"
 #include "metasim/channel.hpp"
 #include "metasim/process.hpp"
 #include "metasim/sync.hpp"
@@ -181,15 +178,16 @@ class NodeRuntime {
   /// node charges is scaled by the node's straggler factor and the MPI
   /// agent honors stall pulses. `owners` is the cluster-wide dynamic owner
   /// table every routing decision goes through (the identity overlay when
-  /// migration is off); `lb` may be null (no load balancing).
+  /// migration is off). `hooks` are the run's enabled controllers, in call
+  /// order (see core/round_hook.hpp).
   NodeRuntime(metasim::Engine& engine, Fabric& fabric, const SimulationConfig& cfg,
               const pdes::LpMap& map, pdes::OwnerTable& owners, const pdes::Model& model,
               int node_id, ClusterProfiler& profiler, obs::TraceRecorder& trace,
-              obs::MetricsRegistry& metrics, const fault::FaultEngine* faults = nullptr,
-              RecoveryManager* recovery = nullptr, lb::Controller* lb = nullptr,
-              cons::Controller* cons = nullptr, flow::Controller* flow = nullptr);
+              obs::MetricsRegistry& metrics, const fault::FaultEngine* faults,
+              const RoundHooks& hooks);
 
-  /// Initialize kernels and spawn this node's thread coroutines.
+  /// Initialize kernels, attach them to the hooks, and spawn this node's
+  /// thread coroutines.
   void start();
 
   // --- accessors for the GVT algorithms ---------------------------------
@@ -206,15 +204,16 @@ class NodeRuntime {
   /// (always valid objects; disabled instances ignore every call).
   obs::TraceRecorder& trace() { return trace_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Null when neither --ckpt-every nor a crash spec is configured.
-  RecoveryManager* recovery() { return recovery_; }
-  /// Null when --lb=off.
-  lb::Controller* lb() { return lb_; }
-  /// Null when --sync=optimistic.
-  cons::Controller* cons() { return cons_; }
-  /// Null when --flow=off.
-  flow::Controller* flow() { return flow_; }
+  const RoundHooks& hooks() const { return hooks_; }
   const pdes::OwnerTable& owners() const { return owners_; }
+
+  /// All simulated CPU time this node charges funnels through here so a
+  /// straggler window slows every activity uniformly (EPG, queue copies,
+  /// MPI packing, polling) — the model of a thermally throttled / noisy
+  /// KNL node.
+  metasim::SimTime cpu(metasim::SimTime base) const {
+    return faults_ == nullptr ? base : faults_->scale_cpu(node_id_, base);
+  }
 
   /// A worker adopts a freshly computed GVT: fossil-collect, record the
   /// profiler samples, stop the node once the horizon is passed. Returns
@@ -247,28 +246,9 @@ class NodeRuntime {
   /// Charge the costs of an engine outcome and route its external events.
   metasim::Process handle_outcome(WorkerCtx& worker, pdes::Outcome outcome);
 
-  /// Checkpoint round, at the quiesced cut (after fossil collection,
-  /// before the round's post-barrier flush): charge the copy cost and
-  /// deposit this worker's slice; the node's last worker also captures the
-  /// transport cursors. The caller MUST hold a global barrier between this
-  /// and any message send, or the transport snapshot would tear.
-  metasim::Process checkpoint_worker(WorkerCtx& worker, std::uint64_t round, double gvt);
-
-  /// Migration round, at the same quiesced cut checkpoint_worker uses
-  /// (after fossil collection and any checkpoint, before the post-round
-  /// barrier + flush): charge this worker's share of the pack/install and
-  /// wire costs, then arrive at the lb fence — the cluster-wide last
-  /// arrival executes the whole batch and bumps the owner-table version.
-  /// The caller MUST hold a global barrier between this and any message
-  /// send so no event is routed while kernels exchange LPs.
-  metasim::Process apply_migrations(WorkerCtx& worker, std::uint64_t round);
-
-  /// Restore round, in place of GVT adoption: rewind this worker to the
-  /// checkpoint being restored. Zeroes the worker's message-counting state
-  /// (the restored cut has no in-flight messages); the node's last worker
-  /// resets the data-plane transport under the round's restore epoch. Same
-  /// barrier obligation as checkpoint_worker.
-  metasim::Process restore_worker(WorkerCtx& worker, std::uint64_t round);
+  /// Restore round, at the node's last rewound worker: reset the node's
+  /// data-plane transport to a checkpoint's cursors under `epoch`.
+  void restore_transport(std::uint32_t epoch, const net::TransportSnapshot& snapshot);
 
   // --- aggregate results --------------------------------------------------
   /// Highest MPI queue occupancy (outbox + fabric inbox) seen since the
@@ -290,13 +270,6 @@ class NodeRuntime {
   metasim::SimTime gvt_block_time() const { return collectives_.node_block_time(); }
 
  private:
-  /// All simulated CPU time this node charges funnels through here so a
-  /// straggler window slows every activity uniformly (EPG, queue copies,
-  /// MPI packing, polling) — the model of a thermally throttled / noisy
-  /// KNL node.
-  metasim::SimTime cpu(metasim::SimTime base) const {
-    return faults_ == nullptr ? base : faults_->scale_cpu(node_id_, base);
-  }
   /// MPI stall pulses: block until the agent's current pulse (if any) ends.
   metasim::Process stall_if_faulted();
   /// Crash windows: a thread reaching its loop top while the node is down
@@ -306,13 +279,6 @@ class NodeRuntime {
 
   metasim::Process worker_main(WorkerCtx& worker);
   metasim::Process mpi_main();
-  /// Conservative modes: run the controller's per-batch step and route the
-  /// control messages (nulls, null requests) it wants sent.
-  metasim::Process cons_tick(WorkerCtx& worker, int processed, bool* did_work);
-  /// Overload protection: classify the worker's pool pressure, send
-  /// cancelbacks under red, and re-deliver parked events whose destination
-  /// has cooled down (src/flow).
-  metasim::Process flow_tick(WorkerCtx& worker, bool* did_work);
   metasim::Process send_event(WorkerCtx& worker, pdes::Event event);
   /// Unpack the node's network arrivals: events are forwarded toward a
   /// migrated LP's current owner node or delivered to the owning worker's
@@ -322,9 +288,10 @@ class NodeRuntime {
   /// contention model). `trace_worker` is the trace track (-1 = agent).
   metasim::Process receive_arrivals(int trace_worker, bool* did_work);
   metasim::Process deliver_to_worker(WorkerCtx& dest, pdes::Event event);
-  /// Hand one received message to its consumer: cancelbacks park in the
-  /// flow ledger, conservative control messages go to cons, an event for
-  /// an LP that migrated away is forwarded, anything else is deposited.
+  /// Hand one received message to its consumer: a non-event message to the
+  /// hook that consumes it (cancelbacks to flow, control messages to cons),
+  /// an event for an LP that migrated away is forwarded, anything else is
+  /// deposited.
   metasim::Process dispatch_received(WorkerCtx& worker, const pdes::Event& event);
 
   metasim::Engine& engine_;
@@ -338,10 +305,9 @@ class NodeRuntime {
   obs::TraceRecorder& trace_;
   obs::MetricsRegistry& metrics_;
   const fault::FaultEngine* faults_;
-  RecoveryManager* recovery_;
-  lb::Controller* lb_;
-  cons::Controller* cons_;
-  flow::Controller* flow_;
+  const RoundHooks& hooks_;
+  /// The hooks inside the worker loop (RoundHook::in_worker_loop).
+  std::vector<RoundHook*> loop_hooks_;
   obs::CounterHandle regional_msgs_metric_;
   obs::CounterHandle remote_msgs_metric_;
 
@@ -353,8 +319,6 @@ class NodeRuntime {
 
   bool stop_ = false;
   double final_gvt_ = 0;
-  int ckpt_done_ = 0;     // workers finished in the current checkpoint round
-  int restore_done_ = 0;  // workers finished in the current restore round
   std::uint64_t mpi_queue_peak_ = 0;
   std::uint64_t regional_msgs_ = 0;
   std::uint64_t remote_msgs_ = 0;

@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/node_runtime.hpp"
+#include "core/simulation.hpp"
 #include "fault/fault_spec.hpp"
 #include "util/assert.hpp"
 
 namespace cagvt::core {
+
+using metasim::delay;
+using metasim::Process;
+using metasim::SimTime;
 
 namespace {
 /// Checkpoints kept in memory. Only the newest complete one is ever
@@ -39,7 +45,9 @@ RecoveryManager::RecoveryManager(const SimulationConfig& cfg, metasim::Engine& e
     : cfg_(cfg),
       engine_(engine),
       metrics_(metrics),
-      store_(kStoreCapacity, cfg.nodes * cfg.workers_per_node(), cfg.nodes) {
+      store_(kStoreCapacity, cfg.nodes * cfg.workers_per_node(), cfg.nodes),
+      ckpt_workers_done_(static_cast<std::size_t>(cfg.nodes), 0),
+      restore_workers_done_(static_cast<std::size_t>(cfg.nodes), 0) {
   if (metrics_ != nullptr) {
     ckpt_metric_ = metrics_->counter("recovery.checkpoints");
     restore_metric_ = metrics_->counter("recovery.restores");
@@ -131,6 +139,78 @@ void RecoveryManager::node_restore_complete(int node, std::uint64_t round) {
     if (metrics_ != nullptr)
       metrics_->gauge("recovery.last_latency_ns").set(static_cast<double>(latency));
   }
+}
+
+void RecoveryManager::deposit(WorkerCtx& worker, std::uint64_t round, double gvt,
+                              WorkerSnapshot snapshot) {
+  save_worker(round, gvt, worker.global_worker, std::move(snapshot));
+  const int node = worker.node.rank();
+  int& done = ckpt_workers_done_[static_cast<std::size_t>(node)];
+  if (++done == cfg_.workers_per_node()) {
+    done = 0;
+    node_checkpoint_done(node, round, worker.node.fabric().snapshot_transport(node));
+  }
+}
+
+void RecoveryManager::attach(WorkerCtx& worker) {
+  deposit(worker, 0, 0.0, {worker.kernel.snapshot(), {}, {}});
+}
+
+Process RecoveryManager::checkpoint(WorkerCtx& worker, std::uint64_t round, double gvt) {
+  NodeRuntime& node = worker.node;
+  const auto& spec = cfg_.cluster;
+  co_await delay(node.cpu(spec.ckpt_base +
+                          spec.ckpt_per_lp * static_cast<SimTime>(worker.kernel.lp_count())));
+  WorkerSnapshot snap{worker.kernel.snapshot(), worker.round_buffer, {}};
+  for (const auto& hook : node.hooks()) hook->save_state(worker.global_worker, snap);
+  node.trace().ckpt_write(node.rank(), worker.index_in_node, round, gvt, snap.bytes());
+  deposit(worker, round, gvt, std::move(snap));
+}
+
+Process RecoveryManager::restore(WorkerCtx& worker, std::uint64_t round) {
+  NodeRuntime& node = worker.node;
+  const auto& spec = cfg_.cluster;
+  const ClusterCheckpoint& ckpt = restore_source();
+  co_await delay(node.cpu(spec.restore_base + spec.restore_per_lp *
+                                                  static_cast<SimTime>(worker.kernel.lp_count())));
+  // The restore cut must be quiesced: GVT counting drained every in-flight
+  // message before this round's adopt step, so nothing may be waiting in
+  // the inboxes (it would be silently erased by the rewind).
+  CAGVT_CHECK_MSG(worker.regional_in.items.empty() && worker.remote_in.items.empty(),
+                  "restore cut not quiesced (worker inbox)");
+  const WorkerSnapshot& snap = ckpt.workers[static_cast<std::size_t>(worker.global_worker)];
+  worker.kernel.restore(snap.kernel);
+  worker.round_buffer = snap.round_buffer;
+  for (const auto& hook : node.hooks()) hook->load_state(worker.global_worker, snap);
+  // The checkpointed cut has no in-transit messages, so message-counting
+  // state restarts from zero; the efficiency window restarts from the
+  // restored commit counters.
+  worker.gvt.msgs_sent = 0;
+  worker.gvt.msgs_recv = 0;
+  worker.gvt.min_red = pdes::kVtInfinity;
+  worker.gvt.last_committed = snap.kernel.stats.committed;
+  worker.gvt.last_rolled_back = snap.kernel.stats.rolled_back;
+  node.trace().restore(node.rank(), worker.index_in_node, round, ckpt.round, ckpt.gvt,
+                       snap.bytes());
+  int& done = restore_workers_done_[static_cast<std::size_t>(node.rank())];
+  if (++done == cfg_.workers_per_node()) {
+    done = 0;
+    node.restore_transport(restore_epoch_, ckpt.transport[static_cast<std::size_t>(node.rank())]);
+    node_restore_complete(node.rank(), round);
+    // The owner table is rewound (cluster-wide last node); every hook's
+    // estimators, plans, tiers and clamps describe a timeline that no
+    // longer exists.
+    for (const auto& hook : node.hooks()) hook->on_restore();
+  }
+}
+
+void RecoveryManager::report(SimulationResult& result, obs::MetricsRegistry& metrics) const {
+  result.checkpoints = checkpoints_;
+  result.restores = restores_;
+  result.recovery_seconds = metasim::to_seconds(recovery_time_total_);
+  metrics.gauge("run.checkpoints").set(static_cast<double>(result.checkpoints));
+  metrics.gauge("run.restores").set(static_cast<double>(result.restores));
+  metrics.gauge("run.recovery_seconds").set(result.recovery_seconds);
 }
 
 }  // namespace cagvt::core

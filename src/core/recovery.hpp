@@ -24,7 +24,11 @@
 // first node to begin a round fixes the round's plan, and every other node
 // reads the cached decision, so the cluster always agrees without extra
 // control traffic. That is a modelling simplification — a real
-// implementation would piggyback the plan on the GVT control message.
+// implementation would piggyback the plan on the GVT control message. It
+// rides the GVT round as a RoundHook: it plans at round open, deposits the
+// initial checkpoint as the workers attach, and runs each worker's
+// checkpoint and restore step at the round's quiesced cut, collecting the
+// other hooks' per-worker state into the slice.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/round_hook.hpp"
 #include "metasim/engine.hpp"
 #include "net/reliable.hpp"
 #include "obs/metrics.hpp"
@@ -40,14 +45,6 @@
 #include "pdes/mapping.hpp"
 
 namespace cagvt::core {
-
-/// What a GVT round does besides computing GVT. Checkpoint and restore
-/// rounds run synchronously (quiesced) in every algorithm.
-enum class RoundPlan : std::uint8_t {
-  kNormal,
-  kCheckpoint,  // snapshot at the round's fossil-collection point
-  kRestore,     // rewind to the last complete checkpoint instead of adopting
-};
 
 /// One worker's slice of a checkpoint.
 struct WorkerSnapshot {
@@ -109,7 +106,7 @@ class CheckpointStore {
   int nodes_;
 };
 
-class RecoveryManager {
+class RecoveryManager final : public RoundHook {
  public:
   RecoveryManager(const SimulationConfig& cfg, metasim::Engine& engine,
                   obs::MetricsRegistry* metrics);
@@ -142,6 +139,28 @@ class RecoveryManager {
   std::uint32_t restore_epoch() const { return restore_epoch_; }
   void node_restore_complete(int node, std::uint64_t round);
 
+  // --- round hook ------------------------------------------------------------
+  /// Deposit the worker's post-init, pre-traffic state as the round-0
+  /// checkpoint (trivially a quiesced cut; charges no time).
+  void attach(WorkerCtx& worker) override;
+  void open_round(std::uint64_t round, RoundOpen& open) override {
+    open.plan = plan_round(round);
+  }
+  /// Checkpoint round, at the quiesced cut (after fossil collection, before
+  /// the round's post-barrier flush): charge the copy cost and deposit this
+  /// worker's slice; the node's last worker also captures the transport
+  /// cursors. The caller MUST hold a global barrier between this and any
+  /// message send, or the transport snapshot would tear.
+  metasim::Process checkpoint(WorkerCtx& worker, std::uint64_t round, double gvt) override;
+  /// Restore round, in place of GVT adoption: rewind this worker to the
+  /// checkpoint being restored. Zeroes the worker's message-counting state
+  /// (the restored cut has no in-flight messages); the node's last worker
+  /// resets the data-plane transport under the round's restore epoch and
+  /// tells every hook the node was restored. Same barrier obligation as
+  /// checkpoint.
+  metasim::Process restore(WorkerCtx& worker, std::uint64_t round) override;
+  void report(SimulationResult& result, obs::MetricsRegistry& metrics) const override;
+
   // --- results --------------------------------------------------------------
   std::uint64_t checkpoints_completed() const { return checkpoints_; }
   std::uint64_t restores_completed() const { return restores_; }
@@ -149,6 +168,9 @@ class RecoveryManager {
   metasim::SimTime recovery_time_total() const { return recovery_time_total_; }
 
  private:
+  /// File a worker's slice; the node's last worker files the transport.
+  void deposit(WorkerCtx& worker, std::uint64_t round, double gvt, WorkerSnapshot snapshot);
+
   const SimulationConfig& cfg_;
   metasim::Engine& engine_;
   obs::CounterHandle ckpt_metric_;
@@ -168,6 +190,9 @@ class RecoveryManager {
 
   std::uint32_t restore_epoch_ = 0;
   int restore_nodes_done_ = 0;
+  // Per node: workers through the current checkpoint / restore step.
+  std::vector<int> ckpt_workers_done_;
+  std::vector<int> restore_workers_done_;
   metasim::SimTime recovering_since_ = 0;
 
   std::uint64_t checkpoints_ = 0;

@@ -4,12 +4,50 @@
 
 #include "cons/controller.hpp"
 #include "core/node_runtime.hpp"
+#include "core/recovery.hpp"
 #include "fault/fault_engine.hpp"
 #include "flow/controller.hpp"
 #include "lb/controller.hpp"
 #include "util/log.hpp"
 
 namespace cagvt::core {
+
+namespace {
+
+/// The run's controllers, each only when enabled: a disabled subsystem is
+/// never touched (lb registers its metrics at construction). The order is
+/// the call order — recovery plans a round before lb commits moves to it.
+RoundHooks make_round_hooks(const SimulationConfig& cfg, const pdes::LpMap& map,
+                            const pdes::Model& model, pdes::OwnerTable& owners,
+                            metasim::Engine& engine, obs::MetricsRegistry& metrics,
+                            obs::TraceRecorder& trace, const fault::FaultEngine* faults) {
+  RoundHooks hooks;
+  // Recovery: checkpoints are requested or a crash is scheduled (a crash
+  // always has the initial checkpoint to rewind to).
+  bool has_crash = false;
+  for (const auto& spec : cfg.faults)
+    if (spec.kind == fault::FaultKind::kCrash) has_crash = true;
+  if (cfg.ckpt_every > 0 || has_crash) {
+    auto recovery = std::make_unique<RecoveryManager>(cfg, engine, &metrics);
+    // Checkpoints must capture (and restores rewind) LP placement whenever
+    // the owner table can change under migration.
+    if (cfg.lb.enabled()) recovery->set_owner_table(&owners);
+    hooks.push_back(std::move(recovery));
+  }
+  // Conservative synchronization rejects models without a positive
+  // lookahead here, before any coroutine starts.
+  if (cfg.sync.enabled())
+    hooks.push_back(
+        std::make_unique<cons::Controller>(cfg.sync, map, model.lookahead(), cfg.end_vt));
+  if (cfg.lb.enabled())
+    hooks.push_back(std::make_unique<lb::Controller>(cfg.lb, owners, metrics, &trace));
+  if (cfg.flow.enabled())
+    hooks.push_back(std::make_unique<flow::Controller>(
+        cfg.flow, cfg.nodes * cfg.workers_per_node(), faults, &trace));
+  return hooks;
+}
+
+}  // namespace
 
 Simulation::Simulation(SimulationConfig cfg, const pdes::Model& model)
     : cfg_(std::move(cfg)), model_(model) {
@@ -63,65 +101,17 @@ SimulationResult Simulation::run(double max_wall_seconds) {
   if (faults != nullptr && faults->needs_reliable_transport())
     fabric.enable_reliable(cfg_.fault_seed);
 
-  // Recovery: instantiated when checkpoints are requested or a crash is
-  // scheduled (a crash always has the initial checkpoint to rewind to).
-  std::unique_ptr<RecoveryManager> recovery;
-  bool has_crash = false;
-  for (const auto& spec : cfg_.faults)
-    if (spec.kind == fault::FaultKind::kCrash) has_crash = true;
-  if (cfg_.ckpt_every > 0 || has_crash)
-    recovery = std::make_unique<RecoveryManager>(cfg_, engine, metrics.get());
-  // Checkpoints must capture (and restores rewind) LP placement whenever
-  // the owner table can change under migration.
-  if (recovery != nullptr && cfg_.lb.enabled()) recovery->set_owner_table(&owners);
-
-  // Load balancer (src/lb): only instantiated when requested, so --lb=off
-  // runs never touch the subsystem and stay bit-identical to earlier
-  // builds.
-  std::unique_ptr<lb::Controller> balancer;
-  if (cfg_.lb.enabled())
-    balancer = std::make_unique<lb::Controller>(cfg_.lb, owners, *metrics, trace.get());
-
-  // Conservative synchronization (src/cons): only instantiated when
-  // requested, so --sync=optimistic runs never touch the subsystem and
-  // stay bit-identical to earlier builds. The controller rejects models
-  // without a positive lookahead here, before any coroutine starts.
-  std::unique_ptr<cons::Controller> cons;
-  if (cfg_.sync.enabled())
-    cons = std::make_unique<cons::Controller>(cfg_.sync, map, model_.lookahead(), cfg_.end_vt);
-
-  // Overload protection (src/flow): only instantiated when requested, so
-  // --flow=off runs never touch the subsystem and stay bit-identical to
-  // earlier builds.
-  std::unique_ptr<flow::Controller> flow;
-  if (cfg_.flow.enabled()) {
-    flow = std::make_unique<flow::Controller>(cfg_.flow,
-                                              cfg_.nodes * cfg_.workers_per_node(),
-                                              faults.get());
-    flow->set_observability(trace.get());
-  }
+  const RoundHooks hooks =
+      make_round_hooks(cfg_, map, model_, owners, engine, *metrics, *trace, faults.get());
 
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
   nodes.reserve(static_cast<std::size_t>(cfg_.nodes));
   for (int n = 0; n < cfg_.nodes; ++n) {
     nodes.push_back(std::make_unique<NodeRuntime>(
         engine, fabric, cfg_, map, owners, model_, n, profiler, *trace, *metrics,
-        faults.get(), recovery.get(), balancer.get(), cons.get(), flow.get()));
+        faults.get(), hooks));
   }
   for (auto& node : nodes) node->start();
-
-  // Deposit the initial checkpoint (round 0, GVT 0): the post-init,
-  // pre-traffic state is trivially a quiesced cut. This is setup work, not
-  // simulated work — it charges no time.
-  if (recovery != nullptr) {
-    for (auto& node : nodes)
-      for (auto& worker : node->workers())
-        recovery->save_worker(0, 0.0, worker->global_worker,
-                              {worker->kernel.snapshot(), {}, {}});
-    for (auto& node : nodes)
-      recovery->node_checkpoint_done(node->rank(), 0,
-                                     fabric.snapshot_transport(node->rank()));
-  }
 
   engine.run(metasim::seconds(max_wall_seconds));
 
@@ -177,37 +167,9 @@ SimulationResult Simulation::run(double max_wall_seconds) {
     result.fault_jitter_draws = faults->jitter_draws();
     result.frames_dropped = faults->frames_dropped();
   }
-  if (recovery != nullptr) {
-    result.checkpoints = recovery->checkpoints_completed();
-    result.restores = recovery->restores_completed();
-    result.recovery_seconds = metasim::to_seconds(recovery->recovery_time_total());
-  }
   result.owner_table_version = owners.version();
-  if (cons != nullptr) {
-    result.cons_null_msgs = cons->null_msgs();
-    result.cons_req_msgs = cons->req_msgs();
-    result.cons_utilization = cons->utilization();
-    result.cons_null_ratio = cons->null_ratio();
-    result.cons_horizon_width = cons->avg_horizon_width();
-  }
-  if (balancer != nullptr) {
-    result.lb_migrations = balancer->migrations();
-    result.lb_migration_rounds = balancer->migration_rounds();
-    result.lb_forwards = balancer->forwards();
-    result.avg_lvt_roughness = balancer->avg_roughness();
-  }
   result.peak_event_pool = result.events.pool_peak;
-  if (flow != nullptr) {
-    result.flow_cancelbacks = flow->cancelbacks();
-    result.flow_releases = flow->releases();
-    result.flow_storms = flow->storms();
-    result.flow_throttle_engagements = flow->throttle_engagements();
-    result.flow_forced_rounds = flow->forced_rounds();
-    result.flow_absorbed_antis = flow->absorbed_antis();
-    // The controller's tick-sampled peak is finer than the kernels'
-    // round-sampled one; report the larger.
-    result.peak_event_pool = std::max(result.peak_event_pool, flow->peak_pool());
-  }
+  for (const auto& hook : hooks) hook->report(result, *metrics);
 
   // Detach the engine-bound clock (the engine dies with this frame) and
   // mirror the headline results into the registry so a single metrics CSV
@@ -237,38 +199,7 @@ SimulationResult Simulation::run(double max_wall_seconds) {
       metrics->gauge("run.frames_dropped").set(static_cast<double>(result.frames_dropped));
       metrics->gauge("run.retransmits").set(static_cast<double>(result.retransmits));
     }
-    if (recovery != nullptr) {
-      metrics->gauge("run.checkpoints").set(static_cast<double>(result.checkpoints));
-      metrics->gauge("run.restores").set(static_cast<double>(result.restores));
-      metrics->gauge("run.recovery_seconds").set(result.recovery_seconds);
-    }
-    if (cons != nullptr) {
-      metrics->gauge("cons.null_msgs").set(static_cast<double>(result.cons_null_msgs));
-      metrics->gauge("cons.req_msgs").set(static_cast<double>(result.cons_req_msgs));
-      metrics->gauge("cons.utilization").set(result.cons_utilization);
-      metrics->gauge("cons.null_ratio").set(result.cons_null_ratio);
-      metrics->gauge("cons.horizon_width").set(result.cons_horizon_width);
-    }
-    if (balancer != nullptr) {
-      metrics->gauge("run.lb_migrations").set(static_cast<double>(result.lb_migrations));
-      metrics->gauge("run.lb_migration_rounds")
-          .set(static_cast<double>(result.lb_migration_rounds));
-      metrics->gauge("run.lb_forwards").set(static_cast<double>(result.lb_forwards));
-      metrics->gauge("run.lvt_roughness").set(result.avg_lvt_roughness);
-    }
     metrics->gauge("flow.peak_event_pool").set(static_cast<double>(result.peak_event_pool));
-    if (flow != nullptr) {
-      metrics->gauge("flow.cancelbacks").set(static_cast<double>(result.flow_cancelbacks));
-      metrics->gauge("flow.releases").set(static_cast<double>(result.flow_releases));
-      metrics->gauge("flow.storms").set(static_cast<double>(result.flow_storms));
-      metrics->gauge("flow.throttle_engagements")
-          .set(static_cast<double>(result.flow_throttle_engagements));
-      metrics->gauge("flow.forced_rounds")
-          .set(static_cast<double>(result.flow_forced_rounds));
-      metrics->gauge("flow.absorbed_antis")
-          .set(static_cast<double>(result.flow_absorbed_antis));
-      metrics->gauge("flow.red_ticks").set(static_cast<double>(flow->red_ticks()));
-    }
   }
   if (cfg_.obs.trace) result.trace = trace;
   if (cfg_.obs.metrics) result.metrics = metrics;

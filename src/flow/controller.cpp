@@ -2,49 +2,56 @@
 
 #include <algorithm>
 
+#include "core/node_runtime.hpp"
+#include "core/recovery.hpp"
+#include "core/simulation.hpp"
 #include "util/assert.hpp"
 
 namespace cagvt::flow {
 
-Controller::Controller(const FlowConfig& cfg, int workers,
-                       const fault::FaultEngine* faults)
+Controller::Controller(const FlowConfig& cfg, int workers, const fault::FaultEngine* faults,
+                       obs::TraceRecorder* trace)
     : cfg_(cfg),
       workers_(workers),
       faults_(faults),
       tier_(static_cast<std::size_t>(workers), core::PressureTier::kGreen),
-      quota_(static_cast<std::size_t>(workers), 0),
       detectors_(static_cast<std::size_t>(workers), StormDetector(cfg.storm)),
       clamps_(static_cast<std::size_t>(workers)),
       gvt_(static_cast<std::size_t>(workers), 0.0),
-      parked_(static_cast<std::size_t>(workers)) {
+      parked_(static_cast<std::size_t>(workers)),
+      trace_(trace) {
   CAGVT_CHECK_MSG(cfg_.enabled(), "flow::Controller built with --flow=off");
   CAGVT_CHECK(workers_ > 0);
   policy_.budget = static_cast<std::uint64_t>(cfg_.mem);
 }
 
-std::int64_t Controller::budget(int worker) const {
-  std::int64_t budget = cfg_.mem;
-  if (faults_ != nullptr) {
-    const std::int64_t squeeze = faults_->mem_budget(worker);
-    if (squeeze > 0) budget = std::min(budget, squeeze);
-  }
-  return budget;
+void Controller::attach(core::WorkerCtx& worker) {
+  const int gw = worker.global_worker;
+  worker.kernel.set_rollback_hook([this, gw](std::uint64_t depth, bool secondary) {
+    detectors_[static_cast<std::size_t>(gw)].note(depth, secondary);
+  });
 }
 
-core::PressureTier Controller::on_tick(int worker, std::size_t pending,
-                                       std::size_t history) {
-  const std::size_t w = static_cast<std::size_t>(worker);
-  const std::uint64_t pool = pending + history;
+void Controller::batch_tick(core::WorkerCtx& worker, int /*processed*/,
+                            std::vector<pdes::Event>& out) {
+  const int gw = worker.global_worker;
+  const std::size_t w = static_cast<std::size_t>(gw);
+  const std::size_t pending = worker.kernel.pending_size();
+  const std::uint64_t pool = pending + worker.kernel.live_history();
   if (pool > peak_pool_) peak_pool_ = pool;
 
+  // The effective budget: the configured one, capped by any active `mem:`
+  // squeeze.
+  const std::int64_t squeeze = faults_ != nullptr ? faults_->mem_budget(gw) : 0;
+  const std::int64_t budget = squeeze > 0 ? std::min(cfg_.mem, squeeze) : cfg_.mem;
   core::FlowPressurePolicy policy = policy_;
-  policy.budget = static_cast<std::uint64_t>(budget(worker));
+  policy.budget = static_cast<std::uint64_t>(budget);
   const core::PressureTier tier = policy.classify(pool);
 
   if (tier != tier_[w]) {
     tier_[w] = tier;
     if (trace_ != nullptr)
-      trace_->flow_pressure(worker, static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
+      trace_->flow_pressure(gw, static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
                             static_cast<int>(tier), static_cast<std::int64_t>(pool),
                             static_cast<std::int64_t>(policy.budget));
   }
@@ -55,48 +62,45 @@ core::PressureTier Controller::on_tick(int worker, std::size_t pending,
   // clamp, so the slide is a no-op.)
   if (tier != core::PressureTier::kGreen && clamps_[w].engage(gvt_[w], cfg_.clamp))
     ++throttle_engagements_;
+  if (tier != core::PressureTier::kRed) return;
 
-  if (tier == core::PressureTier::kRed) {
-    ++red_ticks_;
-    // Relief quota: enough of the furthest-ahead pending events to bring
-    // the pool down to the release watermark. History drains via the
-    // forced fossil-collection round, not via cancelback.
-    const std::uint64_t target = policy.release_target();
-    const std::uint64_t excess = pool > target ? pool - target : 0;
-    quota_[w] = static_cast<std::size_t>(
-        std::min<std::uint64_t>(excess, static_cast<std::uint64_t>(pending)));
-    if (!round_requested_ && !round_inflight_) {
-      round_requested_ = true;
-      ++forced_rounds_;
-    }
-  } else {
-    quota_[w] = 0;
+  ++red_ticks_;
+  if (!round_requested_ && !round_inflight_) {
+    round_requested_ = true;
+    ++forced_rounds_;
   }
-  return tier;
+  // Relief quota: enough of the furthest-ahead pending events to bring the
+  // pool down to the release watermark. History drains via the forced
+  // fossil-collection round, not via cancelback.
+  const std::uint64_t target = policy.release_target();
+  const std::uint64_t excess = pool > target ? pool - target : 0;
+  const auto quota =
+      static_cast<std::size_t>(std::min<std::uint64_t>(excess, static_cast<std::uint64_t>(pending)));
+  if (quota == 0) return;
+  const pdes::OwnerTable& owners = worker.node.owners();
+  out = worker.kernel.extract_cancelback(
+      quota, [&](const pdes::Event& e) { return owners.worker_of(e.src_lp) != gw; });
+  if (out.empty()) return;
+  cancelbacks_ += out.size();
+  if (trace_ != nullptr)
+    trace_->flow_cancelback(gw, static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
+                            static_cast<std::int64_t>(out.size()));
+  for (pdes::Event& event : out) event.kind = pdes::MsgKind::kCancelback;
 }
 
-void Controller::on_cancelback(int worker, const pdes::Event& event,
-                               int dest_worker) {
-  const std::size_t w = static_cast<std::size_t>(worker);
+bool Controller::consume(core::WorkerCtx& worker, const pdes::Event& event) {
+  if (event.kind != pdes::MsgKind::kCancelback) return false;
   Parked parked;
   parked.event = event;
   parked.event.kind = pdes::MsgKind::kEvent;
   parked.event.anti = false;
-  parked.dest_worker = dest_worker;
+  parked.dest_worker = worker.node.owners().worker_of(event.dst_lp);
   parked.round = last_round_;
-  parked_[w].push_back(parked);
+  parked_[static_cast<std::size_t>(worker.global_worker)].push_back(parked);
+  return true;
 }
 
-void Controller::note_cancelback(int worker, std::size_t count) {
-  if (count == 0) return;
-  cancelbacks_ += count;
-  if (trace_ != nullptr)
-    trace_->flow_cancelback(worker,
-                            static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
-                            static_cast<std::int64_t>(count));
-}
-
-pdes::VirtualTime Controller::parked_min(int worker) const {
+pdes::VirtualTime Controller::min_ts(int worker) const {
   pdes::VirtualTime min = pdes::kVtInfinity;
   for (const Parked& p : parked_[static_cast<std::size_t>(worker)])
     min = std::min(min, p.event.recv_ts);
@@ -115,8 +119,8 @@ bool Controller::absorb_anti(int worker, const pdes::Event& anti) {
   return false;
 }
 
-void Controller::release(int worker, std::vector<pdes::Event>& out) {
-  std::deque<Parked>& parked = parked_[static_cast<std::size_t>(worker)];
+void Controller::batch_release(core::WorkerCtx& worker, std::vector<pdes::Event>& out) {
+  std::deque<Parked>& parked = parked_[static_cast<std::size_t>(worker.global_worker)];
   if (parked.empty()) return;
   std::size_t released = 0;
   std::deque<Parked> keep;
@@ -138,20 +142,17 @@ void Controller::release(int worker, std::vector<pdes::Event>& out) {
   releases_ += released;
 }
 
-void Controller::note_rollback(int worker, std::uint64_t depth, bool secondary) {
-  detectors_[static_cast<std::size_t>(worker)].note(depth, secondary);
-}
-
-void Controller::note_round_begin() {
+void Controller::open_round(std::uint64_t /*round*/, core::RoundOpen& /*open*/) {
   // Keep the request visible: every NODE begins its own round, and all of
   // them must see the trigger or the forced round would stall waiting for
   // peers still on their interval clocks. The request clears when the
-  // round is adopted (on_gvt).
+  // round is adopted.
   if (round_requested_) round_inflight_ = true;
 }
 
-void Controller::on_gvt(std::int64_t round, int worker, pdes::VirtualTime gvt) {
-  const std::size_t w = static_cast<std::size_t>(worker);
+void Controller::adopt(std::uint64_t round_number, core::WorkerCtx& worker, double gvt) {
+  const auto round = static_cast<std::int64_t>(round_number);
+  const std::size_t w = static_cast<std::size_t>(worker.global_worker);
   gvt_[w] = gvt;
   if (round > last_round_) {
     last_round_ = round;
@@ -165,7 +166,7 @@ void Controller::on_gvt(std::int64_t round, int worker, pdes::VirtualTime gvt) {
   const bool was_storming = det.storming();
   det.fold_round();
   if (det.storming() != was_storming && trace_ != nullptr)
-    trace_->flow_storm(worker, static_cast<std::uint64_t>(std::max<std::int64_t>(round, 0)),
+    trace_->flow_storm(worker.global_worker, static_cast<std::uint64_t>(std::max<std::int64_t>(round, 0)),
                        det.storming(), det.secondary_fraction(), det.depth_ewma());
 
   // Throttle: engage/refresh the horizon clamp while the worker is either
@@ -174,18 +175,16 @@ void Controller::on_gvt(std::int64_t round, int worker, pdes::VirtualTime gvt) {
   if (clamps_[w].step(stressed, gvt, cfg_.clamp)) ++throttle_engagements_;
 }
 
-std::vector<pdes::Event> Controller::parked_events(int worker) const {
-  std::vector<pdes::Event> out;
+void Controller::save_state(int worker, core::WorkerSnapshot& snap) const {
   const std::deque<Parked>& parked = parked_[static_cast<std::size_t>(worker)];
-  out.reserve(parked.size());
-  for (const Parked& p : parked) out.push_back(p.event);
-  return out;
+  snap.parked.reserve(parked.size());
+  for (const Parked& p : parked) snap.parked.push_back(p.event);
 }
 
-void Controller::restore_parked(int worker, const std::vector<pdes::Event>& parked) {
+void Controller::load_state(int worker, const core::WorkerSnapshot& snap) {
   std::deque<Parked>& dst = parked_[static_cast<std::size_t>(worker)];
   dst.clear();
-  for (const pdes::Event& e : parked) {
+  for (const pdes::Event& e : snap.parked) {
     Parked p;
     p.event = e;
     p.dest_worker = -1;   // pressure state is stale: release promptly
@@ -194,19 +193,32 @@ void Controller::restore_parked(int worker, const std::vector<pdes::Event>& park
   }
 }
 
+void Controller::report(core::SimulationResult& result, obs::MetricsRegistry& metrics) const {
+  result.flow_cancelbacks = cancelbacks_;
+  result.flow_releases = releases_;
+  for (const StormDetector& det : detectors_) result.flow_storms += det.storms();
+  result.flow_throttle_engagements = throttle_engagements_;
+  result.flow_forced_rounds = forced_rounds_;
+  result.flow_absorbed_antis = absorbed_antis_;
+  // The controller's tick-sampled peak is finer than the kernels'
+  // round-sampled one; report the larger.
+  result.peak_event_pool = std::max(result.peak_event_pool, peak_pool_);
+  metrics.gauge("flow.cancelbacks").set(static_cast<double>(result.flow_cancelbacks));
+  metrics.gauge("flow.releases").set(static_cast<double>(result.flow_releases));
+  metrics.gauge("flow.storms").set(static_cast<double>(result.flow_storms));
+  metrics.gauge("flow.throttle_engagements")
+      .set(static_cast<double>(result.flow_throttle_engagements));
+  metrics.gauge("flow.forced_rounds").set(static_cast<double>(result.flow_forced_rounds));
+  metrics.gauge("flow.absorbed_antis").set(static_cast<double>(result.flow_absorbed_antis));
+  metrics.gauge("flow.red_ticks").set(static_cast<double>(red_ticks_));
+}
+
 void Controller::on_restore() {
   std::fill(tier_.begin(), tier_.end(), core::PressureTier::kGreen);
-  std::fill(quota_.begin(), quota_.end(), 0);
   for (cons::Clamp& clamp : clamps_) clamp.release();
   for (StormDetector& det : detectors_) det.reset();
   round_requested_ = false;
   round_inflight_ = false;
-}
-
-std::uint64_t Controller::storms() const {
-  std::uint64_t total = 0;
-  for (const StormDetector& det : detectors_) total += det.storms();
-  return total;
 }
 
 }  // namespace cagvt::flow

@@ -42,6 +42,7 @@
 
 #include "cons/clamp.hpp"
 #include "core/gvt_policy.hpp"
+#include "core/round_hook.hpp"
 #include "fault/fault_engine.hpp"
 #include "flow/flow_config.hpp"
 #include "flow/storm_detector.hpp"
@@ -50,114 +51,79 @@
 
 namespace cagvt::flow {
 
-class Controller {
+class Controller final : public core::RoundHook {
  public:
   /// `workers` is the cluster-wide worker count; `faults` (may be null)
-  /// answers `mem:` squeeze queries.
-  Controller(const FlowConfig& cfg, int workers, const fault::FaultEngine* faults);
+  /// answers `mem:` squeeze queries; `trace` may be null (flow records are
+  /// cluster-scoped, node = -1).
+  Controller(const FlowConfig& cfg, int workers, const fault::FaultEngine* faults,
+             obs::TraceRecorder* trace);
 
-  const FlowConfig& config() const { return cfg_; }
+  // --- round hook -----------------------------------------------------------
+  /// Feed the kernel's rollback episodes (depth + straggler/anti cause) to
+  /// the worker's storm detector.
+  void attach(core::WorkerCtx& worker) override;
 
-  /// `trace` may be null; flow records are cluster-scoped (node = -1).
-  void set_observability(obs::TraceRecorder* trace) { trace_ = trace; }
-
-  // --- pressure accounting -------------------------------------------------
-  /// Per-batch accounting for `worker`: classify its event-pool occupancy
-  /// against the effective budget, update tier state and the cancelback
-  /// quota, and request a forced GVT round on red. Returns the tier.
-  core::PressureTier on_tick(int worker, std::size_t pending, std::size_t history);
-
-  /// Pending events `worker` should return to their senders now (computed
-  /// by the last on_tick; zero below red pressure).
-  std::size_t cancelback_quota(int worker) const {
-    return quota_[static_cast<std::size_t>(worker)];
-  }
-
-  /// Effective budget of `worker` right now: the configured budget, capped
-  /// by any active `mem:` squeeze.
-  std::int64_t budget(int worker) const;
-
-  core::PressureTier tier(int worker) const { return tier_[static_cast<std::size_t>(worker)]; }
-
-  // --- cancelback ledger ---------------------------------------------------
-  /// A kCancelback arrived back at its source `worker`: park the event
-  /// until `dest_worker`'s pressure drains or the hold expires. The parked
-  /// copy is the event's ONLY copy; its timestamp is folded into the GVT
-  /// minimum via parked_min().
-  void on_cancelback(int worker, const pdes::Event& event, int dest_worker);
-
-  /// Account one cancelback batch leaving `worker` (trace + stats).
-  void note_cancelback(int worker, std::size_t count);
-
-  /// Minimum parked recv_ts at `worker` (kVtInfinity when none).
-  pdes::VirtualTime parked_min(int worker) const;
-
-  /// An outgoing anti-message whose positive twin is parked right here
-  /// annihilates in place (the pair never existed for the destination).
-  /// Returns true when absorbed — the caller must not send the anti.
-  bool absorb_anti(int worker, const pdes::Event& anti);
-
-  /// Pop parked events at `worker` that are eligible for re-delivery
-  /// (destination back below the release threshold, destination unknown
-  /// after a restore, or held for kMaxHoldRounds — the bounded hold is what
-  /// guarantees GVT progress and termination). Rate-limited per call.
-  void release(int worker, std::vector<pdes::Event>& out);
-
-  // --- storm detection -----------------------------------------------------
-  /// Kernel rollback hook for `worker` (one call per episode).
-  void note_rollback(int worker, std::uint64_t depth, bool secondary);
-
-  const StormDetector& detector(int worker) const {
-    return detectors_[static_cast<std::size_t>(worker)];
-  }
-
-  // --- GVT round coupling --------------------------------------------------
-  /// True when red pressure wants a fossil-collection round forced through
-  /// the GVT algorithm's begin-round trigger.
-  bool round_requested() const { return round_requested_; }
-
-  /// A GVT round began (forced or not). A pending request stays visible —
-  /// every node's GVT instance begins its own round and all must see the
-  /// trigger — and clears when the round is adopted (on_gvt); no new
-  /// request can be raised while one is in flight.
-  void note_round_begin();
-
-  /// `worker` adopted round `round` with value `gvt`: fold its storm
-  /// detector, refresh or release its throttle clamp, and advance the
-  /// parked-hold clock.
-  void on_gvt(std::int64_t round, int worker, pdes::VirtualTime gvt);
-
-  /// Largest recv_ts `worker` may execute (kVtInfinity when unthrottled).
-  pdes::VirtualTime exec_bound(int worker) const {
+  /// Largest recv_ts the worker may execute (kVtInfinity when unthrottled).
+  bool in_worker_loop() const override { return true; }
+  pdes::VirtualTime exec_bound(int worker) const override {
     return clamps_[static_cast<std::size_t>(worker)].bound();
   }
 
-  // --- recovery ------------------------------------------------------------
-  /// Parked events of `worker`, for the GVT-aligned checkpoint.
-  std::vector<pdes::Event> parked_events(int worker) const;
+  /// Per-batch accounting: classify the worker's event-pool occupancy
+  /// against the effective budget, update its tier, and on red request a
+  /// forced GVT round and return enough of its furthest-ahead pending
+  /// events to their senders (as cancelbacks) to reach the release
+  /// watermark. Events it sent to itself can't ride the transport back —
+  /// they stay and drain through the throttled execution instead.
+  void batch_tick(core::WorkerCtx& worker, int processed,
+                  std::vector<pdes::Event>& out) override;
 
-  /// Reinstall a checkpointed parked set (destination pressure is stale
-  /// after a rewind, so restored events release on the hold timer).
-  void restore_parked(int worker, const std::vector<pdes::Event>& parked);
+  /// Pop the worker's parked events that are eligible for re-delivery
+  /// (destination back below the release threshold, destination unknown
+  /// after a restore, or held for kMaxHoldRounds — the bounded hold is what
+  /// guarantees GVT progress and termination). Rate-limited per call.
+  void batch_release(core::WorkerCtx& worker, std::vector<pdes::Event>& out) override;
+
+  /// True when red pressure wants a fossil-collection round forced through
+  /// the GVT algorithm's begin-round trigger.
+  bool round_requested() const override { return round_requested_; }
+
+  /// A GVT round began (forced or not). A pending request stays visible —
+  /// every node's GVT instance begins its own round and all must see the
+  /// trigger — and clears when the round is adopted; no new request can be
+  /// raised while one is in flight.
+  void open_round(std::uint64_t round, core::RoundOpen& open) override;
+
+  /// The worker adopted `round` with `gvt`: fold its storm detector,
+  /// refresh or release its throttle clamp, and advance the parked-hold
+  /// clock.
+  void adopt(std::uint64_t round, core::WorkerCtx& worker, double gvt) override;
+
+  /// Parked events are each event's ONLY copy, so they are checkpoint
+  /// state. Reinstalled ones release on the hold timer (destination
+  /// pressure is stale after a rewind).
+  void save_state(int worker, core::WorkerSnapshot& snap) const override;
+  void load_state(int worker, const core::WorkerSnapshot& snap) override;
 
   /// Cluster restore: reset detectors, clamps, tiers and round requests.
-  /// Parked sets are NOT touched — restore_parked() reinstalls them.
-  void on_restore();
+  /// Parked sets are NOT touched — load_state() reinstalls them.
+  void on_restore() override;
 
-  // --- statistics ----------------------------------------------------------
-  std::uint64_t cancelbacks() const { return cancelbacks_; }
-  std::uint64_t releases() const { return releases_; }
-  std::uint64_t absorbed_antis() const { return absorbed_antis_; }
-  std::uint64_t forced_rounds() const { return forced_rounds_; }
-  std::uint64_t throttle_engagements() const { return throttle_engagements_; }
-  std::uint64_t red_ticks() const { return red_ticks_; }
-  std::uint64_t storms() const;
-  /// Peak pool occupancy seen by on_tick across all workers (tick-sampled;
-  /// finer than the kernels' round-sampled stats.pool_peak).
-  std::uint64_t peak_pool() const { return peak_pool_; }
-  std::size_t parked_count(int worker) const {
-    return parked_[static_cast<std::size_t>(worker)].size();
-  }
+  /// A kCancelback arrived back at its source worker: park the event until
+  /// its destination's pressure drains or the hold expires. If the source
+  /// LP has since migrated the ledger still works — parked minima bound
+  /// GVT at the parking worker, and release re-routes to the current owner.
+  bool consume(core::WorkerCtx& worker, const pdes::Event& event) override;
+
+  /// An outgoing anti-message whose positive twin is parked right here
+  /// annihilates in place (the pair never existed for the destination).
+  bool absorb_anti(int worker, const pdes::Event& anti) override;
+
+  /// Minimum parked recv_ts at `worker` (kVtInfinity when none).
+  pdes::VirtualTime min_ts(int worker) const override;
+
+  void report(core::SimulationResult& result, obs::MetricsRegistry& metrics) const override;
 
  private:
   struct Parked {
@@ -175,7 +141,6 @@ class Controller {
   core::FlowPressurePolicy policy_;  // budget field is re-derived per query
 
   std::vector<core::PressureTier> tier_;
-  std::vector<std::size_t> quota_;
   std::vector<StormDetector> detectors_;
   std::vector<cons::Clamp> clamps_;     // throttle clamp, per worker
   std::vector<pdes::VirtualTime> gvt_;  // last adopted GVT, per worker
@@ -193,7 +158,7 @@ class Controller {
   std::uint64_t red_ticks_ = 0;
   std::uint64_t peak_pool_ = 0;
 
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::TraceRecorder* trace_;
 };
 
 }  // namespace cagvt::flow

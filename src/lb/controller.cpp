@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/node_runtime.hpp"
+#include "core/simulation.hpp"
 #include "util/assert.hpp"
 
 namespace cagvt::lb {
@@ -21,23 +23,21 @@ Controller::Controller(const LbConfig& cfg, pdes::OwnerTable& owners,
   CAGVT_CHECK(cfg.enabled());
 }
 
-void Controller::register_kernel(int global_worker, pdes::ThreadKernel* kernel) {
-  CAGVT_CHECK(global_worker >= 0 &&
-              global_worker < static_cast<int>(kernels_.size()));
-  CAGVT_CHECK_MSG(kernels_[static_cast<std::size_t>(global_worker)] == nullptr,
+void Controller::attach(core::WorkerCtx& worker) {
+  const int gw = worker.global_worker;
+  CAGVT_CHECK(gw >= 0 && gw < static_cast<int>(kernels_.size()));
+  CAGVT_CHECK_MSG(kernels_[static_cast<std::size_t>(gw)] == nullptr,
                   "worker registered twice with the lb controller");
-  kernels_[static_cast<std::size_t>(global_worker)] = kernel;
+  kernels_[static_cast<std::size_t>(gw)] = &worker.kernel;
 }
 
-void Controller::observe(std::uint64_t round, int worker, pdes::VirtualTime lvt,
-                         double gvt,
-                         const std::vector<std::pair<pdes::LpId, double>>& lp_work) {
+void Controller::adopt(std::uint64_t round, core::WorkerCtx& worker, double gvt) {
   const int total = static_cast<int>(kernels_.size());
   RoundObs& obs = observations_[round];
   if (obs.lvt.empty()) obs.lvt.assign(static_cast<std::size_t>(total), pdes::kVtInfinity);
-  obs.lvt[static_cast<std::size_t>(worker)] = lvt;
+  obs.lvt[static_cast<std::size_t>(worker.global_worker)] = worker.kernel.local_min_ts();
   obs.gvt = gvt;
-  for (const auto& [lp, work] : lp_work) {
+  for (const auto& [lp, work] : worker.kernel.drain_lp_work()) {
     double& w = work_ewma_[lp];
     w = cfg_.ewma * work + (1.0 - cfg_.ewma) * w;
   }
@@ -202,7 +202,8 @@ void Controller::plan_moves(std::uint64_t round, const RoundObs& obs) {
   }
 }
 
-bool Controller::round_has_moves(std::uint64_t round) {
+void Controller::open_round(std::uint64_t round, core::RoundOpen& open) {
+  if (open.plan == core::RoundPlan::kRestore) return;
   const auto [it, inserted] = plans_.try_emplace(round);
   if (inserted && !pending_plan_.empty()) {
     it->second = std::move(pending_plan_);
@@ -210,23 +211,31 @@ bool Controller::round_has_moves(std::uint64_t round) {
     last_migration_round_ = round;
     migrated_once_ = true;
   }
-  return !it->second.empty();
+  open.moves = !it->second.empty();
 }
 
-const std::vector<pdes::Migration>& Controller::moves_for(std::uint64_t round) {
-  round_has_moves(round);
-  return plans_.at(round);
-}
-
-void Controller::worker_at_fence(std::uint64_t round) {
-  const std::vector<pdes::Migration>& plan = moves_for(round);
-  CAGVT_CHECK_MSG(!plan.empty(), "fence arrival on a round without moves");
-  if (++fence_arrivals_[round] < static_cast<int>(kernels_.size())) return;
+metasim::Process Controller::migrate(core::WorkerCtx& worker, std::uint64_t round) {
+  const std::vector<pdes::Migration>& plan = plans_.at(round);
+  const core::NodeRuntime& node = worker.node;
+  const auto& spec = node.cfg().cluster;
+  int moved = 0;       // LPs this worker packs (out) or installs (in)
+  int cross_node = 0;  // ... of which cross the network
+  for (const pdes::Migration& m : plan) {
+    if (m.src_worker != worker.global_worker && m.dst_worker != worker.global_worker) continue;
+    ++moved;
+    if (node.map().node_of_worker(m.src_worker) != node.map().node_of_worker(m.dst_worker))
+      ++cross_node;
+  }
+  if (moved > 0) {
+    metasim::SimTime cost =
+        spec.migrate_base + spec.migrate_per_lp * static_cast<metasim::SimTime>(moved);
+    cost += (spec.net_latency + spec.transmit_time(spec.migrate_msg_bytes)) *
+            static_cast<metasim::SimTime>(cross_node);
+    co_await metasim::delay(node.cpu(cost));
+  }
+  // The cluster-wide last arrival moves the LPs and bumps the table.
+  if (++fence_arrivals_[round] < static_cast<int>(kernels_.size())) co_return;
   fence_arrivals_.erase(round);
-  execute(round, plan);
-}
-
-void Controller::execute(std::uint64_t round, const std::vector<pdes::Migration>& plan) {
   for (const pdes::Migration& m : plan) {
     pdes::ThreadKernel* src = kernels_[static_cast<std::size_t>(m.src_worker)];
     pdes::ThreadKernel* dst = kernels_[static_cast<std::size_t>(m.dst_worker)];
@@ -259,9 +268,21 @@ void Controller::on_restore() {
   warmup_rounds_ = 0;
 }
 
-void Controller::count_forward() {
+void Controller::note_forward() {
   ++forwards_;
   forwards_metric_.inc();
+}
+
+void Controller::report(core::SimulationResult& result, obs::MetricsRegistry& metrics) const {
+  result.lb_migrations = migrations_;
+  result.lb_migration_rounds = migration_rounds_;
+  result.lb_forwards = forwards_;
+  result.avg_lvt_roughness =
+      rounds_finalized_ > 0 ? width_sum_ / static_cast<double>(rounds_finalized_) : 0.0;
+  metrics.gauge("run.lb_migrations").set(static_cast<double>(result.lb_migrations));
+  metrics.gauge("run.lb_migration_rounds").set(static_cast<double>(result.lb_migration_rounds));
+  metrics.gauge("run.lb_forwards").set(static_cast<double>(result.lb_forwards));
+  metrics.gauge("run.lvt_roughness").set(result.avg_lvt_roughness);
 }
 
 }  // namespace cagvt::lb

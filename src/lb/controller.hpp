@@ -7,24 +7,24 @@
 // migration's *data* costs (packing, wire transfer, installing) are
 // charged per worker at the fence by node_runtime.
 //
-// Lifecycle per GVT round:
-//  1. observe()          — every worker reports its LVT, the round's GVT,
-//                          and its per-LP work window when it adopts the
-//                          round's GVT. When the last report of a round
-//                          arrives, the controller updates the roughness /
-//                          advance-rate EWMAs and, if the trigger fires,
-//                          computes a migration plan.
-//  2. round_has_moves()  — queried at the next round's start (first caller
-//                          fixes the answer, RecoveryManager-style); a
-//                          pending plan is pinned to that round, which the
-//                          GVT algorithms then run as a sync round.
-//  3. worker_at_fence()  — each worker calls this at the round's
-//                          post-fossil fence after charging its migration
-//                          costs. The cluster-wide last arrival executes
-//                          the whole batch — extract from source kernels,
-//                          install into destinations, bump the owner-table
-//                          version once — while every other worker is
-//                          parked at the fence barrier.
+// It rides the GVT round as a core::RoundHook. Lifecycle per GVT round:
+//  1. adopt()       — every worker reports its LVT, the round's GVT, and
+//                     its per-LP work window when it adopts the round's
+//                     GVT. When the last report of a round arrives, the
+//                     controller updates the roughness / advance-rate
+//                     EWMAs and, if the trigger fires, computes a
+//                     migration plan.
+//  2. open_round()  — at the next round's start (first caller fixes the
+//                     answer, RecoveryManager-style) a pending plan is
+//                     pinned to that round, which the GVT algorithms then
+//                     run as a sync round.
+//  3. migrate()     — each worker charges its share of the pack/install
+//                     and wire costs at the round's quiesced cut, then
+//                     arrives at the fence. The cluster-wide last arrival
+//                     executes the whole batch — extract from source
+//                     kernels, install into destinations, bump the
+//                     owner-table version once — while every other worker
+//                     is parked at the fence barrier.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/round_hook.hpp"
 #include "lb/lb_config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -41,46 +42,25 @@
 
 namespace cagvt::lb {
 
-class Controller {
+class Controller final : public core::RoundHook {
  public:
   Controller(const LbConfig& cfg, pdes::OwnerTable& owners, obs::MetricsRegistry& metrics,
              obs::TraceRecorder* trace);
 
-  /// Node runtimes register their kernels at construction so the fence
-  /// executor can reach every worker's LP store.
-  void register_kernel(int global_worker, pdes::ThreadKernel* kernel);
-
-  /// One worker's per-round sample, taken when it adopts round `round`'s
-  /// GVT. `lp_work` is the kernel's drained per-LP work window.
-  void observe(std::uint64_t round, int worker, pdes::VirtualTime lvt, double gvt,
-               const std::vector<std::pair<pdes::LpId, double>>& lp_work);
-
-  /// Whether round `round` executes a migration batch at its fence. The
-  /// first query (any node, at round start) pins the answer for everyone.
-  bool round_has_moves(std::uint64_t round);
-
-  /// The batch pinned to `round` (empty vector if none).
-  const std::vector<pdes::Migration>& moves_for(std::uint64_t round);
-
-  /// Fence arrival (see file comment). Only call on rounds with moves.
-  void worker_at_fence(std::uint64_t round);
-
+  // --- round hook (see the file comment) -------------------------------------
+  /// Register the worker's kernel so the fence executor can reach every
+  /// worker's LP store.
+  void attach(core::WorkerCtx& worker) override;
+  /// Restore rounds never migrate.
+  void open_round(std::uint64_t round, core::RoundOpen& open) override;
+  void adopt(std::uint64_t round, core::WorkerCtx& worker, double gvt) override;
+  metasim::Process migrate(core::WorkerCtx& worker, std::uint64_t round) override;
   /// A checkpoint restore rewound the cluster (and the owner table):
   /// discard the pending plan and every estimator fed by pre-crash rounds.
-  void on_restore();
-
+  void on_restore() override;
   /// Count one event forwarded because it was routed with a stale epoch.
-  void count_forward();
-
-  // --- stats ---------------------------------------------------------------
-  std::uint64_t migrations() const { return migrations_; }
-  std::uint64_t migration_rounds() const { return migration_rounds_; }
-  std::uint64_t forwards() const { return forwards_; }
-  double roughness_ewma() const { return width_ewma_; }
-  /// Mean per-round LVT roughness over the whole run.
-  double avg_roughness() const {
-    return rounds_finalized_ > 0 ? width_sum_ / static_cast<double>(rounds_finalized_) : 0.0;
-  }
+  void note_forward() override;
+  void report(core::SimulationResult& result, obs::MetricsRegistry& metrics) const override;
 
  private:
   struct RoundObs {
@@ -92,7 +72,6 @@ class Controller {
   /// All of a round's workers have reported: update estimators, maybe plan.
   void finalize_round(std::uint64_t round, const RoundObs& obs);
   void plan_moves(std::uint64_t round, const RoundObs& obs);
-  void execute(std::uint64_t round, const std::vector<pdes::Migration>& plan);
 
   LbConfig cfg_;
   pdes::OwnerTable& owners_;
