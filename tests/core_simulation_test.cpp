@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "models/phold.hpp"
 #include "pdes/seqref.hpp"
 
@@ -99,6 +101,14 @@ struct ClusterCase {
   double regional;
   std::uint64_t seed;
 };
+
+// ctest names each discovered case after the printed parameter; without a
+// printer it ends in a dump of the struct's raw bytes.
+void PrintTo(const ClusterCase& c, std::ostream* os) {
+  *os << to_string(c.gvt) << ' ' << to_string(c.mpi) << " nodes=" << c.nodes
+      << " threads=" << c.threads << " remote=" << c.remote << " regional=" << c.regional
+      << " seed=" << c.seed;
+}
 
 class ClusterSweep : public ::testing::TestWithParam<ClusterCase> {};
 

@@ -15,6 +15,7 @@
 // divergence in processed/rolled-back counts is expected and not checked.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/simulation.hpp"
@@ -33,6 +34,11 @@ struct ModelCase {
   const char* model;
   const char* options;
 };
+
+// ctest names each discovered case after the printed parameter. Without a
+// printer gtest dumps the struct's bytes, and these are string pointers, so
+// the name would change with the binary's layout from one build to the next.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.model << ' ' << c.options; }
 
 // Same golden matrix as core_determinism_test.cpp: small enough to finish in
 // milliseconds, large enough to force cross-node traffic and rollbacks.
