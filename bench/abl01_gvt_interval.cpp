@@ -8,43 +8,36 @@
 // flushes.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 namespace cagvt::bench {
 namespace {
 
-void interval_point(benchmark::State& state, GvtKind gvt, const Workload& workload) {
+SimulationResult interval_point(GvtKind gvt, const Workload& workload, std::int64_t interval) {
   SimulationConfig cfg = figure_config(8);
   cfg.gvt = gvt;
-  cfg.gvt_interval = static_cast<int>(state.range(0));
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-  state.counters["max_history"] = static_cast<double>(result.events.max_history);
+  cfg.gvt_interval = static_cast<int>(interval);
+  return core::run_phold(cfg, workload);
 }
 
-void BM_MatternComp(benchmark::State& state) {
-  interval_point(state, GvtKind::kMattern, Workload::computation());
-}
-void BM_BarrierComp(benchmark::State& state) {
-  interval_point(state, GvtKind::kBarrier, Workload::computation());
-}
-void BM_BarrierComm(benchmark::State& state) {
-  interval_point(state, GvtKind::kBarrier, Workload::communication());
-}
-void BM_CaComm(benchmark::State& state) {
-  interval_point(state, GvtKind::kControlledAsync, Workload::communication());
+void export_history_counters(State& state, const SimulationResult& r) {
+  export_counters(state, r);
+  state.counters["max_history"] = static_cast<double>(r.events.max_history);
 }
 
-#define CAGVT_INTERVAL_SWEEP(fn) \
-  BENCHMARK(fn)->ArgName("interval")->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_INTERVAL_SWEEP(BM_MatternComp);
-CAGVT_INTERVAL_SWEEP(BM_BarrierComp);
-CAGVT_INTERVAL_SWEEP(BM_BarrierComm);
-CAGVT_INTERVAL_SWEEP(BM_CaComm);
+Series interval_series(const char* name, GvtKind gvt, const Workload& workload) {
+  return {name, {"interval"}, product({{10, 25, 50, 100}}),
+          [gvt, workload](const Args& a) { return interval_point(gvt, workload, a[0]); },
+          export_history_counters};
+}
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl01")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(
+      argc, argv, "abl01",
+      {interval_series("BM_MatternComp", GvtKind::kMattern, Workload::computation()),
+       interval_series("BM_BarrierComp", GvtKind::kBarrier, Workload::computation()),
+       interval_series("BM_BarrierComm", GvtKind::kBarrier, Workload::communication()),
+       interval_series("BM_CaComm", GvtKind::kControlledAsync, Workload::communication())});
+}

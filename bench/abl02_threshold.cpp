@@ -7,36 +7,31 @@
 // behaviour plus token overhead).
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 namespace cagvt::bench {
 namespace {
 
-void BM_Threshold(benchmark::State& state) {
+SimulationResult threshold_point(std::int64_t threshold_pct) {
   SimulationConfig cfg = figure_config(8);
   cfg.gvt = GvtKind::kControlledAsync;
-  cfg.ca_efficiency_threshold = static_cast<double>(state.range(0)) / 100.0;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_mixed(cfg, 10, 15);
-  export_counters(state, result);
-  state.counters["sync_fraction_pct"] =
-      result.gvt_rounds == 0 ? 0.0
-                             : 100.0 * static_cast<double>(result.sync_rounds) /
-                                   static_cast<double>(result.gvt_rounds);
+  cfg.ca_efficiency_threshold = static_cast<double>(threshold_pct) / 100.0;
+  return core::run_mixed(cfg, 10, 15);
 }
 
-BENCHMARK(BM_Threshold)
-    ->ArgName("threshold_pct")
-    ->Arg(0)
-    ->Arg(60)
-    ->Arg(70)
-    ->Arg(80)
-    ->Arg(90)
-    ->Arg(99)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void export_threshold_counters(State& state, const SimulationResult& r) {
+  export_counters(state, r);
+  state.counters["sync_fraction_pct"] =
+      r.gvt_rounds == 0 ? 0.0
+                        : 100.0 * static_cast<double>(r.sync_rounds) /
+                              static_cast<double>(r.gvt_rounds);
+}
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl02")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(argc, argv, "abl02",
+                         {{"BM_Threshold", {"threshold_pct"}, product({{0, 60, 70, 80, 90, 99}}),
+                           [](const Args& a) { return threshold_point(a[0]); },
+                           export_threshold_counters}});
+}

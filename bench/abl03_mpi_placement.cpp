@@ -9,36 +9,34 @@
 // suffers.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 namespace cagvt::bench {
 namespace {
 
-void placement_point(benchmark::State& state, MpiPlacement mpi, const Workload& workload) {
-  SimulationConfig cfg = figure_config(static_cast<int>(state.range(0)));
+SimulationResult placement_point(int nodes, MpiPlacement mpi) {
+  SimulationConfig cfg = figure_config(nodes);
   cfg.gvt = GvtKind::kMattern;
   cfg.mpi = mpi;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-  state.counters["lock_wait_thread_s"] = result.lock_wait_seconds;
+  return core::run_phold(cfg, Workload::communication());
 }
 
-void BM_DedicatedComm(benchmark::State& state) {
-  placement_point(state, MpiPlacement::kDedicated, Workload::communication());
-}
-void BM_CombinedComm(benchmark::State& state) {
-  placement_point(state, MpiPlacement::kCombined, Workload::communication());
-}
-void BM_EverywhereComm(benchmark::State& state) {
-  placement_point(state, MpiPlacement::kEverywhere, Workload::communication());
+void export_lock_counters(State& state, const SimulationResult& r) {
+  export_counters(state, r);
+  state.counters["lock_wait_thread_s"] = r.lock_wait_seconds;
 }
 
-CAGVT_SERIES(BM_DedicatedComm);
-CAGVT_SERIES(BM_CombinedComm);
-CAGVT_SERIES(BM_EverywhereComm);
+Series placement_series(const char* name, MpiPlacement mpi) {
+  return {name, {"nodes"}, kPaperNodes,
+          [mpi](const Args& a) { return placement_point(a[0], mpi); },
+          export_lock_counters};
+}
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl03")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(argc, argv, "abl03",
+                         {placement_series("BM_DedicatedComm", MpiPlacement::kDedicated),
+                          placement_series("BM_CombinedComm", MpiPlacement::kCombined),
+                          placement_series("BM_EverywhereComm", MpiPlacement::kEverywhere)});
+}

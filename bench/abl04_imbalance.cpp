@@ -7,13 +7,12 @@
 // traffic the imbalance would otherwise generate.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
 #include "models/imbalanced_phold.hpp"
 
 namespace cagvt::bench {
 namespace {
 
-void imbalance_point(benchmark::State& state, GvtKind gvt, double hot_factor) {
+SimulationResult imbalance_point(GvtKind gvt, double hot_factor) {
   SimulationConfig cfg = figure_config(8);
   cfg.gvt = gvt;
   const pdes::LpMap map = core::Simulation::make_map(cfg);
@@ -23,29 +22,22 @@ void imbalance_point(benchmark::State& state, GvtKind gvt, double hot_factor) {
   params.hot_factor = hot_factor;
   const models::ImbalancedPholdModel model(map, params);
   core::Simulation sim(cfg, model);
-  SimulationResult result;
-  for (auto _ : state) result = sim.run();
-  export_counters(state, result);
+  return sim.run();
 }
 
-void BM_Mattern(benchmark::State& state) {
-  imbalance_point(state, GvtKind::kMattern, static_cast<double>(state.range(0)));
+Series imbalance_series(const char* name, GvtKind gvt) {
+  return {name, {"hot_factor"}, product({{1, 2, 4, 8}}), [gvt](const Args& a) {
+            return imbalance_point(gvt, static_cast<double>(a[0]));
+          }};
 }
-void BM_Barrier(benchmark::State& state) {
-  imbalance_point(state, GvtKind::kBarrier, static_cast<double>(state.range(0)));
-}
-void BM_CaGvt(benchmark::State& state) {
-  imbalance_point(state, GvtKind::kControlledAsync, static_cast<double>(state.range(0)));
-}
-
-#define CAGVT_HOT_SWEEP(fn) \
-  BENCHMARK(fn)->ArgName("hot_factor")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_HOT_SWEEP(BM_Mattern);
-CAGVT_HOT_SWEEP(BM_Barrier);
-CAGVT_HOT_SWEEP(BM_CaGvt);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl04")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(argc, argv, "abl04",
+                         {imbalance_series("BM_Mattern", GvtKind::kMattern),
+                          imbalance_series("BM_Barrier", GvtKind::kBarrier),
+                          imbalance_series("BM_CaGvt", GvtKind::kControlledAsync)});
+}

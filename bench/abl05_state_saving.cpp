@@ -10,15 +10,13 @@
 
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 #include "models/reverse_phold.hpp"
 
 namespace cagvt::bench {
 namespace {
 
-void state_saving_point(benchmark::State& state, bool reverse, const Workload& workload) {
-  SimulationConfig cfg = figure_config(static_cast<int>(state.range(0)));
+SimulationResult state_saving_point(int nodes, bool reverse, const Workload& workload) {
+  SimulationConfig cfg = figure_config(nodes);
   cfg.gvt = GvtKind::kMattern;
   const pdes::LpMap map = core::Simulation::make_map(cfg);
   const models::PholdParams params = workload.phold();
@@ -29,31 +27,31 @@ void state_saving_point(benchmark::State& state, bool reverse, const Workload& w
     model = std::make_unique<models::PholdModel>(map, params);
   }
   core::Simulation sim(cfg, *model);
-  SimulationResult result;
-  for (auto _ : state) result = sim.run();
-  export_counters(state, result);
-  state.counters["max_history"] = static_cast<double>(result.events.max_history);
+  return sim.run();
 }
 
-void BM_CheckpointComp(benchmark::State& state) {
-  state_saving_point(state, /*reverse=*/false, Workload::computation());
-}
-void BM_ReverseComp(benchmark::State& state) {
-  state_saving_point(state, /*reverse=*/true, Workload::computation());
-}
-void BM_CheckpointComm(benchmark::State& state) {
-  state_saving_point(state, /*reverse=*/false, Workload::communication());
-}
-void BM_ReverseComm(benchmark::State& state) {
-  state_saving_point(state, /*reverse=*/true, Workload::communication());
+void export_history_counters(State& state, const SimulationResult& r) {
+  export_counters(state, r);
+  state.counters["max_history"] = static_cast<double>(r.events.max_history);
 }
 
-CAGVT_SERIES(BM_CheckpointComp);
-CAGVT_SERIES(BM_ReverseComp);
-CAGVT_SERIES(BM_CheckpointComm);
-CAGVT_SERIES(BM_ReverseComm);
+Series state_saving_series(const char* name, bool reverse, const Workload& workload) {
+  return {name, {"nodes"}, kPaperNodes,
+          [reverse, workload](const Args& a) {
+            return state_saving_point(a[0], reverse, workload);
+          },
+          export_history_counters};
+}
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl05")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(
+      argc, argv, "abl05",
+      {state_saving_series("BM_CheckpointComp", /*reverse=*/false, Workload::computation()),
+       state_saving_series("BM_ReverseComp", /*reverse=*/true, Workload::computation()),
+       state_saving_series("BM_CheckpointComm", /*reverse=*/false, Workload::communication()),
+       state_saving_series("BM_ReverseComm", /*reverse=*/true, Workload::communication())});
+}

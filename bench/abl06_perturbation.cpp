@@ -20,7 +20,6 @@
 // point still runs exactly once (Iterations(1)).
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
 #include "fault/fault_parse.hpp"
 
 namespace cagvt::bench {
@@ -33,32 +32,32 @@ const char* const kScenarios[] = {
                  "mpistall:node=1,t=2ms..,stall=200us,period=2ms",
 };
 
-void perturbation_point(benchmark::State& state, GvtKind gvt) {
+SimulationResult perturbation_point(GvtKind gvt, std::int64_t scenario) {
   SimulationConfig cfg = figure_config(8);
   cfg.gvt = gvt;
-  const char* const schedule = kScenarios[state.range(0)];
+  const char* const schedule = kScenarios[scenario];
   if (schedule[0] != '\0') cfg.faults = fault::parse_fault_schedule(schedule);
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, Workload::computation());
-  export_counters(state, result);
-  state.counters["fault_activations"] = static_cast<double>(result.fault_activations);
+  return core::run_phold(cfg, Workload::computation());
 }
 
-void BM_Mattern(benchmark::State& state) { perturbation_point(state, GvtKind::kMattern); }
-void BM_Barrier(benchmark::State& state) { perturbation_point(state, GvtKind::kBarrier); }
-void BM_CaGvt(benchmark::State& state) {
-  perturbation_point(state, GvtKind::kControlledAsync);
+void export_fault_counters(State& state, const SimulationResult& r) {
+  export_counters(state, r);
+  state.counters["fault_activations"] = static_cast<double>(r.fault_activations);
 }
 
 // Arg: 0 = healthy, 1 = straggler, 2 = degraded links + MPI stalls.
-#define CAGVT_FAULT_SWEEP(fn) \
-  BENCHMARK(fn)->ArgName("scenario")->Arg(0)->Arg(1)->Arg(2)->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_FAULT_SWEEP(BM_Mattern);
-CAGVT_FAULT_SWEEP(BM_Barrier);
-CAGVT_FAULT_SWEEP(BM_CaGvt);
+Series perturbation_series(const char* name, GvtKind gvt) {
+  return {name, {"scenario"}, product({{0, 1, 2}}),
+          [gvt](const Args& a) { return perturbation_point(gvt, a[0]); }, export_fault_counters};
+}
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl06")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(argc, argv, "abl06",
+                         {perturbation_series("BM_Mattern", GvtKind::kMattern),
+                          perturbation_series("BM_Barrier", GvtKind::kBarrier),
+                          perturbation_series("BM_CaGvt", GvtKind::kControlledAsync)});
+}

@@ -24,8 +24,6 @@
 // invocations produce byte-identical results.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 #include "fault/fault_parse.hpp"
 
 namespace cagvt::bench {
@@ -47,7 +45,7 @@ const Scenario kScenarios[] = {
     /*4 crash+lossy=*/{"loss:src=all,dst=all,rate=0.1;crash:node=1,t=2ms,down=1ms", 4},
 };
 
-void export_recovery_counters(benchmark::State& state, const SimulationResult& r) {
+void export_recovery_counters(State& state, const SimulationResult& r) {
   export_counters(state, r);
   state.counters["frames_dropped"] = static_cast<double>(r.frames_dropped);
   state.counters["retransmits"] = static_cast<double>(r.retransmits);
@@ -57,47 +55,40 @@ void export_recovery_counters(benchmark::State& state, const SimulationResult& r
   state.counters["recovery_s"] = r.recovery_seconds;
 }
 
-void recovery_point(benchmark::State& state, GvtKind gvt) {
+SimulationResult recovery_point(GvtKind gvt, std::int64_t scenario) {
   SimulationConfig cfg = figure_config(4);
   cfg.gvt = gvt;
-  const Scenario& sc = kScenarios[state.range(0)];
+  const Scenario& sc = kScenarios[scenario];
   if (sc.schedule[0] != '\0') cfg.faults = fault::parse_fault_schedule(sc.schedule);
   cfg.ckpt_every = sc.ckpt_every;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, Workload::computation());
-  export_recovery_counters(state, result);
-}
-
-void BM_Mattern(benchmark::State& state) { recovery_point(state, GvtKind::kMattern); }
-void BM_Barrier(benchmark::State& state) { recovery_point(state, GvtKind::kBarrier); }
-void BM_CaGvt(benchmark::State& state) {
-  recovery_point(state, GvtKind::kControlledAsync);
+  return core::run_phold(cfg, Workload::computation());
 }
 
 // Arg: scenario index (see kScenarios above).
-#define CAGVT_RECOVERY_SWEEP(fn)                                            \
-  BENCHMARK(fn)->ArgName("scenario")->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4) \
-      ->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_RECOVERY_SWEEP(BM_Mattern);
-CAGVT_RECOVERY_SWEEP(BM_Barrier);
-CAGVT_RECOVERY_SWEEP(BM_CaGvt);
+Series recovery_series(const char* name, GvtKind gvt) {
+  return {name, {"scenario"}, product({{0, 1, 2, 3, 4}}),
+          [gvt](const Args& a) { return recovery_point(gvt, a[0]); }, export_recovery_counters};
+}
 
 // Checkpoint period under the crash scenario: 0 = initial checkpoint only.
-void BM_CkptPeriod(benchmark::State& state) {
+SimulationResult ckpt_period_point(std::int64_t ckpt_every) {
   SimulationConfig cfg = figure_config(4);
   cfg.gvt = GvtKind::kControlledAsync;
   cfg.faults = fault::parse_fault_schedule(kCrash);
-  cfg.ckpt_every = static_cast<int>(state.range(0));
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, Workload::computation());
-  export_recovery_counters(state, result);
+  cfg.ckpt_every = static_cast<int>(ckpt_every);
+  return core::run_phold(cfg, Workload::computation());
 }
-
-BENCHMARK(BM_CkptPeriod)->ArgName("ckpt_every")->Arg(0)->Arg(2)->Arg(4)->Arg(8)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl07")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(argc, argv, "abl07",
+                         {recovery_series("BM_Mattern", GvtKind::kMattern),
+                          recovery_series("BM_Barrier", GvtKind::kBarrier),
+                          recovery_series("BM_CaGvt", GvtKind::kControlledAsync),
+                          {"BM_CkptPeriod", {"ckpt_every"}, product({{0, 2, 4, 8}}),
+                           [](const Args& a) { return ckpt_period_point(a[0]); },
+                           export_recovery_counters}});
+}

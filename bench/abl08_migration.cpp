@@ -31,7 +31,6 @@
 // imbalance ablations bite hardest at modest node counts.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
 #include "fault/fault_parse.hpp"
 #include "models/hotspot_phold.hpp"
 #include "models/imbalanced_phold.hpp"
@@ -41,7 +40,7 @@ namespace {
 
 enum Scenario { kImbalance = 0, kStraggler = 1, kHotspot = 2 };
 
-void export_lb_counters(benchmark::State& state, const SimulationResult& r) {
+void export_lb_counters(State& state, const SimulationResult& r) {
   state.counters["lvt_roughness"] = r.avg_lvt_roughness;
   state.counters["migrations"] = static_cast<double>(r.lb_migrations);
   state.counters["migration_rounds"] = static_cast<double>(r.lb_migration_rounds);
@@ -62,11 +61,9 @@ SimulationConfig migration_config() {
   return cfg;
 }
 
-void migration_point(benchmark::State& state, bool migrate) {
+SimulationResult migration_point(bool migrate, Scenario scenario) {
   SimulationConfig cfg = migration_config();
 
-  const auto scenario = static_cast<Scenario>(state.range(0));
-  SimulationResult result;
   switch (scenario) {
     case kImbalance: {
       if (migrate) cfg.lb = lb::parse_lb("roughness,trigger=2.0,budget=2,cooldown=8");
@@ -77,15 +74,13 @@ void migration_point(benchmark::State& state, bool migrate) {
       params.hot_factor = 4;
       const models::ImbalancedPholdModel model(map, params);
       core::Simulation sim(cfg, model);
-      for (auto _ : state) result = sim.run();
-      break;
+      return sim.run();
     }
     case kStraggler: {
       if (migrate)
         cfg.lb = lb::parse_lb("roughness,trigger=0.5,budget=32,cooldown=8,min-lps=0");
       cfg.faults = fault::parse_fault_schedule("straggler:node=3,t=2ms..1s,slow=4x");
-      for (auto _ : state) result = core::run_phold(cfg, Workload::computation());
-      break;
+      return core::run_phold(cfg, Workload::computation());
     }
     case kHotspot: {
       if (migrate) cfg.lb = lb::parse_lb("roughness,trigger=1.0,budget=1,cooldown=6");
@@ -97,25 +92,30 @@ void migration_point(benchmark::State& state, bool migrate) {
       params.hot_cost = 8.0;
       const models::HotspotPholdModel model(map, params);
       core::Simulation sim(cfg, model);
-      for (auto _ : state) result = sim.run();
-      break;
+      return sim.run();
     }
   }
-  export_counters(state, result);
-  export_lb_counters(state, result);
+  return {};
 }
 
-void BM_Static(benchmark::State& state) { migration_point(state, false); }
-void BM_Roughness(benchmark::State& state) { migration_point(state, true); }
-
 // Arg: 0 = imbalance (A4), 1 = straggler (A6), 2 = hotspot PHOLD.
-#define CAGVT_MIGRATION_SWEEP(fn) \
-  BENCHMARK(fn)->ArgName("scenario")->Arg(0)->Arg(1)->Arg(2)->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_MIGRATION_SWEEP(BM_Static);
-CAGVT_MIGRATION_SWEEP(BM_Roughness);
+Series migration_series(const char* name, bool migrate) {
+  return {name, {"scenario"}, product({{0, 1, 2}}),
+          [migrate](const Args& a) {
+            return migration_point(migrate, static_cast<Scenario>(a[0]));
+          },
+          [](State& state, const SimulationResult& r) {
+            export_counters(state, r);
+            export_lb_counters(state, r);
+          }};
+}
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl08")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(argc, argv, "abl08",
+                         {migration_series("BM_Static", false),
+                          migration_series("BM_Roughness", true)});
+}

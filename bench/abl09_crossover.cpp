@@ -25,7 +25,6 @@
 // sim_wall_s — simulated cluster wall-clock on the same virtual horizon.
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
 #include "models/hotspot_phold.hpp"
 #include "models/imbalanced_phold.hpp"
 
@@ -34,7 +33,7 @@ namespace {
 
 enum Model { kPhold = 0, kImbalanced = 1, kHotspot = 2 };
 
-void export_cons_counters(benchmark::State& state, const SimulationResult& r) {
+void export_cons_counters(State& state, const SimulationResult& r) {
   state.counters["cons_utilization"] = r.cons_utilization;
   state.counters["cons_null_ratio"] = r.cons_null_ratio;
   state.counters["cons_horizon_width"] = r.cons_horizon_width;
@@ -42,11 +41,12 @@ void export_cons_counters(benchmark::State& state, const SimulationResult& r) {
   state.counters["req_msgs"] = static_cast<double>(r.cons_req_msgs);
 }
 
-void crossover_point(benchmark::State& state, cons::SyncKind sync) {
+// Args: model (0 phold, 1 imbalanced, 2 hotspot), epg, remote%, LPs/worker.
+SimulationResult crossover_point(cons::SyncKind sync, const Args& args) {
   SimulationConfig cfg;
   cfg.nodes = 2;
   cfg.threads_per_node = 4;
-  cfg.lps_per_worker = static_cast<int>(state.range(3));
+  cfg.lps_per_worker = static_cast<int>(args[3]);
   cfg.end_vt = 60.0;
   cfg.gvt = GvtKind::kMattern;
   cfg.gvt_interval = 8;
@@ -56,20 +56,18 @@ void crossover_point(benchmark::State& state, cons::SyncKind sync) {
   // conservative lookahead, and it perturbs the optimistic timestamp
   // stream the same way, so the three series commit the same events.
   models::PholdParams base;
-  base.epg_units = static_cast<double>(state.range(1));
-  base.remote_pct = static_cast<double>(state.range(2)) / 100.0;
+  base.epg_units = static_cast<double>(args[1]);
+  base.remote_pct = static_cast<double>(args[2]) / 100.0;
   base.regional_pct = 0.20;
   base.mean_delay = 1.0;
   base.min_delay = 0.5;
 
   const pdes::LpMap map = core::Simulation::make_map(cfg);
-  SimulationResult result;
-  switch (static_cast<Model>(state.range(0))) {
+  switch (static_cast<Model>(args[0])) {
     case kPhold: {
       const models::PholdModel model(map, base);
       core::Simulation sim(cfg, model);
-      for (auto _ : state) result = sim.run();
-      break;
+      return sim.run();
     }
     case kImbalanced: {
       models::ImbalancedPholdParams params;
@@ -78,8 +76,7 @@ void crossover_point(benchmark::State& state, cons::SyncKind sync) {
       params.hot_factor = 4.0;
       const models::ImbalancedPholdModel model(map, params);
       core::Simulation sim(cfg, model);
-      for (auto _ : state) result = sim.run();
-      break;
+      return sim.run();
     }
     case kHotspot: {
       models::HotspotPholdParams params;
@@ -89,34 +86,31 @@ void crossover_point(benchmark::State& state, cons::SyncKind sync) {
       params.hot_cost = 6.0;
       const models::HotspotPholdModel model(map, params);
       core::Simulation sim(cfg, model);
-      for (auto _ : state) result = sim.run();
-      break;
+      return sim.run();
     }
   }
-  export_counters(state, result);
-  export_cons_counters(state, result);
+  return {};
 }
 
-void BM_Optimistic(benchmark::State& state) {
-  crossover_point(state, cons::SyncKind::kOptimistic);
+// The full 24-point grid per sync mode.
+Series crossover_series(const char* name, cons::SyncKind sync) {
+  return {name, {"model", "epg", "remote", "lps"},
+          product({{0, 1, 2}, {500, 10000}, {1, 10}, {8, 32}}),
+          [sync](const Args& a) { return crossover_point(sync, a); },
+          [](State& state, const SimulationResult& r) {
+            export_counters(state, r);
+            export_cons_counters(state, r);
+          }};
 }
-void BM_Cmb(benchmark::State& state) { crossover_point(state, cons::SyncKind::kCmb); }
-void BM_Window(benchmark::State& state) { crossover_point(state, cons::SyncKind::kWindow); }
-
-// Args: model (0 phold, 1 imbalanced, 2 hotspot) x epg x remote% x
-// LPs/worker — the full 24-point grid per sync mode.
-#define CAGVT_CROSSOVER_SWEEP(fn)                         \
-  BENCHMARK(fn)                                           \
-      ->ArgNames({"model", "epg", "remote", "lps"})       \
-      ->ArgsProduct({{0, 1, 2}, {500, 10000}, {1, 10}, {8, 32}}) \
-      ->Iterations(1)                                     \
-      ->Unit(benchmark::kMillisecond)
-
-CAGVT_CROSSOVER_SWEEP(BM_Optimistic);
-CAGVT_CROSSOVER_SWEEP(BM_Cmb);
-CAGVT_CROSSOVER_SWEEP(BM_Window);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl09")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  using cagvt::cons::SyncKind;
+  return run_figure_main(argc, argv, "abl09",
+                         {crossover_series("BM_Optimistic", SyncKind::kOptimistic),
+                          crossover_series("BM_Cmb", SyncKind::kCmb),
+                          crossover_series("BM_Window", SyncKind::kWindow)});
+}

@@ -27,7 +27,6 @@
 
 #include <string>
 
-#include "bench_json.hpp"
 #include "fault/fault_parse.hpp"
 #include "flow/flow_config.hpp"
 #include "models/hotspot_phold.hpp"
@@ -35,7 +34,7 @@
 namespace cagvt::bench {
 namespace {
 
-void export_flow_counters(benchmark::State& state, const SimulationResult& r) {
+void export_flow_counters(State& state, const SimulationResult& r) {
   export_counters(state, r);
   state.counters["peak_pool"] = static_cast<double>(r.peak_event_pool);
   state.counters["cancelbacks"] = static_cast<double>(r.flow_cancelbacks);
@@ -69,7 +68,7 @@ SimulationResult run_hotspot(const SimulationConfig& cfg) {
 // every worker for a 2ms mid-run window via the `mem:` fault spec — under
 // --flow=off it is inert (nothing consumes the budget), which keeps the
 // two series' event streams identical.
-void overload_point(benchmark::State& state, bool bounded) {
+SimulationResult overload_point(bool bounded, const Args& args) {
   SimulationConfig cfg;
   cfg.nodes = 2;
   cfg.threads_per_node = 4;
@@ -77,36 +76,27 @@ void overload_point(benchmark::State& state, bool bounded) {
   cfg.end_vt = 60.0;
   cfg.gvt = GvtKind::kMattern;  // no CA queue trigger: optimism uncontrolled
   cfg.gvt_interval = 24;
-  const auto budget = static_cast<std::int64_t>(state.range(0));
+  const std::int64_t budget = args[0];
   if (bounded) {
     cfg.flow.kind = flow::FlowKind::kBounded;
     cfg.flow.mem = budget;
   }
-  if (state.range(1) != 0) {
+  if (args[1] != 0) {
     cfg.faults = fault::parse_fault_schedule(
         "mem:worker=all,budget=" + std::to_string(budget / 2) + ",t=1ms..3ms");
   }
-  SimulationResult result;
-  for (auto _ : state) result = run_hotspot(cfg);
-  export_flow_counters(state, result);
+  return run_hotspot(cfg);
 }
 
-void BM_FlowOff(benchmark::State& state) { overload_point(state, false); }
-void BM_FlowBounded(benchmark::State& state) { overload_point(state, true); }
-
-#define CAGVT_OVERLOAD_SWEEP(fn)                    \
-  BENCHMARK(fn)                                     \
-      ->ArgNames({"budget", "squeeze"})             \
-      ->ArgsProduct({{256, 1024}, {0, 1}})          \
-      ->Iterations(1)->Unit(benchmark::kMillisecond)
-
-CAGVT_OVERLOAD_SWEEP(BM_FlowOff);
-CAGVT_OVERLOAD_SWEEP(BM_FlowBounded);
+Series overload_series(const char* name, bool bounded) {
+  return {name, {"budget", "squeeze"}, product({{256, 1024}, {0, 1}}),
+          [bounded](const Args& a) { return overload_point(bounded, a); }, export_flow_counters};
+}
 
 // Throttle clamp width under the squeezed 256-budget point: a narrow clamp
 // contains storms hardest but serializes progress; a wide one barely
 // throttles. The sweep brackets the default (4.0).
-void BM_ClampWidth(benchmark::State& state) {
+SimulationResult clamp_width_point(std::int64_t clamp) {
   SimulationConfig cfg;
   cfg.nodes = 2;
   cfg.threads_per_node = 4;
@@ -116,17 +106,20 @@ void BM_ClampWidth(benchmark::State& state) {
   cfg.gvt_interval = 24;
   cfg.flow.kind = flow::FlowKind::kBounded;
   cfg.flow.mem = 256;
-  cfg.flow.clamp = static_cast<double>(state.range(0));
+  cfg.flow.clamp = static_cast<double>(clamp);
   cfg.faults = fault::parse_fault_schedule("mem:worker=all,budget=128,t=1ms..3ms");
-  SimulationResult result;
-  for (auto _ : state) result = run_hotspot(cfg);
-  export_flow_counters(state, result);
+  return run_hotspot(cfg);
 }
-
-BENCHMARK(BM_ClampWidth)->ArgName("clamp")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("abl10")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(argc, argv, "abl10",
+                         {overload_series("BM_FlowOff", false),
+                          overload_series("BM_FlowBounded", true),
+                          {"BM_ClampWidth", {"clamp"}, product({{1, 2, 4, 8}}),
+                           [](const Args& a) { return clamp_width_point(a[0]); },
+                           export_flow_counters}});
+}

@@ -33,17 +33,21 @@ SimulationResult point(int nodes, GvtKind gvt) {
 
 int main(int argc, char** argv) {
   using namespace cagvt::bench;
-  std::vector<int> nodes = {8, 16, 32, 64};
+  Args sizes = {8, 16, 32, 64};
   const char* stress = std::getenv("CAGVT_ABL11_STRESS");
   if (stress != nullptr && std::string(stress) != "0") {
-    nodes.push_back(128);
-    nodes.push_back(256);
+    sizes.push_back(128);
+    sizes.push_back(256);
   }
+  const std::vector<Args> nodes = product({sizes});
   return run_figure_main(
       argc, argv, "abl11",
-      {{"BM_Barrier", [](int n) { return point(n, GvtKind::kBarrier); }},
-       {"BM_Mattern", [](int n) { return point(n, GvtKind::kMattern); }},
-       {"BM_CaGvt", [](int n) { return point(n, GvtKind::kControlledAsync); }},
-       {"BM_Epoch", [](int n) { return point(n, GvtKind::kEpoch); }}},
-      nodes);
+      {{"BM_Barrier", {"nodes"}, nodes,
+        [](const Args& a) { return point(a[0], GvtKind::kBarrier); }},
+       {"BM_Mattern", {"nodes"}, nodes,
+        [](const Args& a) { return point(a[0], GvtKind::kMattern); }},
+       {"BM_CaGvt", {"nodes"}, nodes,
+        [](const Args& a) { return point(a[0], GvtKind::kControlledAsync); }},
+       {"BM_Epoch", {"nodes"}, nodes,
+        [](const Args& a) { return point(a[0], GvtKind::kEpoch); }}});
 }

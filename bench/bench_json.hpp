@@ -1,6 +1,6 @@
 // Machine-readable bench baselines.
 //
-// Ablation binaries write their full google-benchmark JSON report to
+// Bench binaries write their full google-benchmark JSON report to
 // BENCH_<figure>.json alongside the console output, so CI and
 // scripts/bench_to_csv.py can diff the numbers across commits without
 // scraping console text. Implemented by injecting --benchmark_out flags
@@ -10,7 +10,8 @@
 //   CAGVT_BENCH_JSON_DIR   output directory (default: current directory)
 //   CAGVT_BENCH_JSON=0     disable the file entirely
 //
-// Use CAGVT_BENCH_MAIN_WITH_JSON("abl04") in place of BENCHMARK_MAIN().
+// run_figure_main (figure_common.hpp) calls run_with_json_baseline as
+// the binary's main.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -50,8 +51,3 @@ inline int run_with_json_baseline(int argc, char** argv, const char* figure) {
 }
 
 }  // namespace cagvt::bench
-
-#define CAGVT_BENCH_MAIN_WITH_JSON(figure)                                \
-  int main(int argc, char** argv) {                                       \
-    return cagvt::bench::run_with_json_baseline(argc, argv, figure);      \
-  }

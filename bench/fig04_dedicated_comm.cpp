@@ -24,12 +24,12 @@ int main(int argc, char** argv) {
   using namespace cagvt::bench;
   return run_figure_main(
       argc, argv, "fig04",
-      {{"BM_MatternDedicated",
-        [](int n) { return point(n, GvtKind::kMattern, MpiPlacement::kDedicated); }},
-       {"BM_MatternCombined",
-        [](int n) { return point(n, GvtKind::kMattern, MpiPlacement::kCombined); }},
-       {"BM_BarrierDedicated",
-        [](int n) { return point(n, GvtKind::kBarrier, MpiPlacement::kDedicated); }},
-       {"BM_BarrierCombined",
-        [](int n) { return point(n, GvtKind::kBarrier, MpiPlacement::kCombined); }}});
+      {{"BM_MatternDedicated", {"nodes"}, kPaperNodes,
+        [](const Args& a) { return point(a[0], GvtKind::kMattern, MpiPlacement::kDedicated); }},
+       {"BM_MatternCombined", {"nodes"}, kPaperNodes,
+        [](const Args& a) { return point(a[0], GvtKind::kMattern, MpiPlacement::kCombined); }},
+       {"BM_BarrierDedicated", {"nodes"}, kPaperNodes,
+        [](const Args& a) { return point(a[0], GvtKind::kBarrier, MpiPlacement::kDedicated); }},
+       {"BM_BarrierCombined", {"nodes"}, kPaperNodes,
+        [](const Args& a) { return point(a[0], GvtKind::kBarrier, MpiPlacement::kCombined); }}});
 }

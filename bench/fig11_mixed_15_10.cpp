@@ -19,8 +19,10 @@ int main(int argc, char** argv) {
   using namespace cagvt::bench;
   return run_figure_main(
       argc, argv, "fig11",
-      {{"BM_Mattern", [](int n) { return point(n, GvtKind::kMattern); }},
-       {"BM_Barrier", [](int n) { return point(n, GvtKind::kBarrier); }},
-       {"BM_CaGvt",
-        [](int n) { return point(n, GvtKind::kControlledAsync); }}});
+      {{"BM_Mattern", {"nodes"}, kPaperNodes,
+        [](const Args& a) { return point(a[0], GvtKind::kMattern); }},
+       {"BM_Barrier", {"nodes"}, kPaperNodes,
+        [](const Args& a) { return point(a[0], GvtKind::kBarrier); }},
+       {"BM_CaGvt", {"nodes"}, kPaperNodes,
+        [](const Args& a) { return point(a[0], GvtKind::kControlledAsync); }}});
 }

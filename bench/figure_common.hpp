@@ -1,16 +1,27 @@
-// Shared plumbing for the per-figure bench binaries.
+// The one bench harness: every figure, table and ablation binary declares
+// its points as a table and hands it to run_figure_main.
 //
-// Every binary regenerates one figure/table of the paper: each
-// google-benchmark "benchmark" is one series (a GVT algorithm / MPI
-// placement combination) swept over the node counts on the figure's
-// x-axis. The simulator is deterministic, so each point runs exactly once
-// (Iterations(1)); the paper's metrics are exported as benchmark counters:
+// A series is one google-benchmark family (a legend entry: a GVT algorithm,
+// an MPI placement, a sync mode, ...): a name, its argument names, one
+// argument tuple per point, the closure that runs the simulation at a
+// tuple, and the counters function that exports the result. The simulator
+// is deterministic, so each point runs exactly once (Iterations(1)); the
+// paper's metrics are exported as benchmark counters (export_counters):
 //
 //   rate_events_s   committed event rate (the y-axis of Figures 3-12)
 //   efficiency_pct  committed / processed
 //   rollbacks       events undone
 //   gvt_rounds / sync_rounds
 //   sim_wall_s      simulated wall-clock duration of the run
+//
+// A series that reports more (abl08's migrations, abl10's event pool, ...)
+// passes its own counters function, usually export_counters plus extras.
+//
+// The whole table is computed on first use through core::run_parallel,
+// outside google-benchmark's timed loop, so the real_time and cpu_time
+// fields of every BENCH_*.json time a table lookup, not a simulation.
+// Host time belongs to perfbench/; scripts/check_bench_baselines.py
+// ignores both fields.
 //
 // CAGVT_BENCH_SCALE scales the per-node thread/LP counts (see
 // core/experiment.hpp); the default finishes the whole bench suite in
@@ -19,6 +30,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,6 +43,7 @@
 
 namespace cagvt::bench {
 
+using benchmark::State;
 using core::GvtKind;
 using core::MpiPlacement;
 using core::SimulationConfig;
@@ -41,7 +54,7 @@ inline SimulationConfig figure_config(int nodes) {
   return core::scaled_config(nodes, core::bench_scale_from_env());
 }
 
-inline void export_counters(benchmark::State& state, const SimulationResult& r) {
+inline void export_counters(State& state, const SimulationResult& r) {
   state.counters["rate_events_s"] = r.committed_rate;
   state.counters["efficiency_pct"] = r.efficiency * 100.0;
   state.counters["rollbacks"] = static_cast<double>(r.events.rolled_back);
@@ -55,90 +68,85 @@ inline void export_counters(benchmark::State& state, const SimulationResult& r) 
   state.counters["tree_frames"] = static_cast<double>(r.tree_frames);
 }
 
-/// One figure point: PHOLD under `workload` with the given algorithm and
-/// placement, nodes taken from the benchmark argument.
-inline void run_phold_point(benchmark::State& state, GvtKind gvt, MpiPlacement mpi,
-                            const Workload& workload) {
-  SimulationConfig cfg = figure_config(static_cast<int>(state.range(0)));
-  cfg.gvt = gvt;
-  cfg.mpi = mpi;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-}
+/// One point's benchmark arguments, in the series' arg_names order.
+using Args = std::vector<std::int64_t>;
+using Counters = std::function<void(State&, const SimulationResult&)>;
 
-/// One mixed-model figure point (Figures 10-12). Mixed runs use a longer
-/// virtual horizon so each communication phase lasts long enough for its
-/// characteristic rollback dynamics to develop (the paper's phases span
-/// minutes of execution).
-inline void run_mixed_point(benchmark::State& state, GvtKind gvt, double x_pct, double y_pct,
-                            double end_vt = 150.0) {
-  SimulationConfig cfg = figure_config(static_cast<int>(state.range(0)));
-  cfg.end_vt = end_vt;
-  cfg.gvt = gvt;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_mixed(cfg, x_pct, y_pct);
-  export_counters(state, result);
-}
-
-/// One curve on a figure: a name (the legend entry / benchmark name) and
-/// the closure that produces the point at a given node count.
-struct FigureSeries {
+/// One curve of a figure. Points are named like google-benchmark's
+/// ArgNames/Args registration: `BM_FlowOff/budget:256/squeeze:0/iterations:1`,
+/// or `BM_CaComp/iterations:1` for a series of one argument-less point.
+struct Series {
   std::string name;
-  std::function<SimulationResult(int nodes)> run;
+  std::vector<std::string> arg_names;
+  std::vector<Args> points;
+  std::function<SimulationResult(const Args&)> run;
+  Counters counters = export_counters;
 };
 
-/// Main entry for the per-figure binaries: registers every series x node
-/// point as a one-iteration benchmark, computes the WHOLE result table on
+/// Every combination of one value per axis, the first axis varying fastest
+/// (google-benchmark's ArgsProduct order). product({{1, 2, 4, 8}}) is a
+/// one-argument sweep; product({}) is the single argument-less point.
+inline std::vector<Args> product(const std::vector<Args>& axes) {
+  std::vector<Args> points = {Args{}};
+  for (const Args& axis : axes) {
+    std::vector<Args> next;
+    for (const std::int64_t value : axis) {
+      for (Args point : points) {
+        point.push_back(value);
+        next.push_back(std::move(point));
+      }
+    }
+    points = std::move(next);
+  }
+  return points;
+}
+
+/// The node counts on the paper's x-axis (Figures 3-12).
+inline const std::vector<Args> kPaperNodes = product({{1, 2, 4, 8}});
+
+/// Main entry for every bench binary: registers every point of every
+/// series as a one-iteration benchmark, computes the WHOLE result table on
 /// first use via core::run_parallel (every point is an independent
-/// simulation, so the sweep saturates the host's cores instead of running
-/// serially), and writes the google-benchmark JSON report to
-/// BENCH_<figure>.json through bench_json.hpp. Listing benchmarks
-/// (--benchmark_list_tests) never runs a simulation.
+/// simulation, so the table saturates the host's cores instead of running
+/// serially), exports each point's counters in registration order, and
+/// writes the JSON report to BENCH_<figure>.json through bench_json.hpp.
+/// Listing benchmarks (--benchmark_list_tests) never runs a simulation.
 inline int run_figure_main(int argc, char** argv, const char* figure,
-                           std::vector<FigureSeries> series,
-                           std::vector<int> nodes = {1, 2, 4, 8}) {
+                           std::vector<Series> series) {
   struct Table {
     std::once_flag once;
-    std::vector<FigureSeries> series;
-    std::vector<int> nodes;
+    std::vector<Series> series;
     std::vector<SimulationResult> results;
   };
   auto table = std::make_shared<Table>();
   table->series = std::move(series);
-  table->nodes = std::move(nodes);
   const auto compute = [table] {
-    std::vector<std::function<SimulationResult()>> points;
-    points.reserve(table->series.size() * table->nodes.size());
-    for (const FigureSeries& s : table->series)
-      for (const int n : table->nodes)
-        points.push_back([&s, n] { return s.run(n); });
-    table->results = core::run_parallel(std::move(points));
+    std::vector<std::function<SimulationResult()>> runs;
+    for (const Series& s : table->series)
+      for (const Args& point : s.points) runs.push_back([&s, &point] { return s.run(point); });
+    table->results = core::run_parallel(std::move(runs));
   };
-  for (std::size_t si = 0; si < table->series.size(); ++si) {
-    for (std::size_t ni = 0; ni < table->nodes.size(); ++ni) {
-      const std::size_t idx = si * table->nodes.size() + ni;
+  std::size_t idx = 0;
+  for (const Series& s : table->series) {
+    for (const Args& point : s.points) {
       benchmark::RegisterBenchmark(
-          table->series[si].name.c_str(),
-          [table, compute, idx](benchmark::State& state) {
+          s.name.c_str(),
+          [table, compute, &s, idx](State& state) {
             std::call_once(table->once, compute);
             for (auto _ : state) {
               // The simulator is deterministic and already ran in compute();
               // the counters below are the product, not the loop timing.
             }
-            export_counters(state, table->results[idx]);
+            s.counters(state, table->results[idx]);
           })
-          ->ArgName("nodes")
-          ->Arg(table->nodes[ni])
+          ->ArgNames(s.arg_names)
+          ->Args(point)
           ->Iterations(1)
           ->Unit(benchmark::kMillisecond);
+      ++idx;
     }
   }
   return run_with_json_baseline(argc, argv, figure);
 }
 
 }  // namespace cagvt::bench
-
-/// Registers one series swept over the paper's node counts (1, 2, 4, 8).
-#define CAGVT_SERIES(fn) \
-  BENCHMARK(fn)->ArgName("nodes")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Iterations(1)->Unit(benchmark::kMillisecond)

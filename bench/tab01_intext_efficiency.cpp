@@ -9,44 +9,38 @@
 //   Barrier comm efficiency 94.2% vs Mattern 64.3%
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
-
 namespace cagvt::bench {
 namespace {
 
-void table_point(benchmark::State& state, GvtKind gvt, const Workload& workload) {
-  SimulationConfig cfg = figure_config(8);
-  cfg.gvt = gvt;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-  state.counters["gvt_round_s"] = result.gvt_round_seconds;
-  state.counters["gvt_block_thread_s"] = result.gvt_block_seconds;
-  state.counters["lock_wait_thread_s"] = result.lock_wait_seconds;
-  state.counters["remote_msgs"] = static_cast<double>(result.remote_msgs);
-  state.counters["regional_msgs"] = static_cast<double>(result.regional_msgs);
-  state.counters["stragglers"] = static_cast<double>(result.events.stragglers);
+void export_table_counters(State& state, const SimulationResult& r) {
+  export_counters(state, r);
+  state.counters["gvt_round_s"] = r.gvt_round_seconds;
+  state.counters["gvt_block_thread_s"] = r.gvt_block_seconds;
+  state.counters["lock_wait_thread_s"] = r.lock_wait_seconds;
+  state.counters["remote_msgs"] = static_cast<double>(r.remote_msgs);
+  state.counters["regional_msgs"] = static_cast<double>(r.regional_msgs);
+  state.counters["stragglers"] = static_cast<double>(r.events.stragglers);
 }
 
-void BM_MatternComp(benchmark::State& state) {
-  table_point(state, GvtKind::kMattern, Workload::computation());
+Series table_series(const char* name, GvtKind gvt, const Workload& workload) {
+  return {name, {}, product({}),
+          [gvt, workload](const Args&) {
+            SimulationConfig cfg = figure_config(8);
+            cfg.gvt = gvt;
+            return core::run_phold(cfg, workload);
+          },
+          export_table_counters};
 }
-void BM_MatternComm(benchmark::State& state) {
-  table_point(state, GvtKind::kMattern, Workload::communication());
-}
-void BM_BarrierComp(benchmark::State& state) {
-  table_point(state, GvtKind::kBarrier, Workload::computation());
-}
-void BM_BarrierComm(benchmark::State& state) {
-  table_point(state, GvtKind::kBarrier, Workload::communication());
-}
-
-BENCHMARK(BM_MatternComp)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatternComm)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BarrierComp)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BarrierComm)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("tab01")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(
+      argc, argv, "tab01",
+      {table_series("BM_MatternComp", GvtKind::kMattern, Workload::computation()),
+       table_series("BM_MatternComm", GvtKind::kMattern, Workload::communication()),
+       table_series("BM_BarrierComp", GvtKind::kBarrier, Workload::computation()),
+       table_series("BM_BarrierComm", GvtKind::kBarrier, Workload::communication())});
+}

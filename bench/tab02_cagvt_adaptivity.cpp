@@ -16,7 +16,6 @@
 
 #include "figure_common.hpp"
 
-#include "bench_json.hpp"
 #include "obs/trace.hpp"
 
 namespace cagvt::bench {
@@ -56,53 +55,53 @@ Adaptivity scan_trace(const char* point, const obs::TraceRecorder& trace) {
   return out;
 }
 
-void adaptivity_point(benchmark::State& state, const char* point,
-                      const Workload& workload) {
-  SimulationConfig cfg = figure_config(8);
-  cfg.gvt = GvtKind::kControlledAsync;
-  cfg.obs.trace = true;  // the table is read back out of the trace records
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, workload);
-  export_counters(state, result);
-
-  const Adaptivity adapt =
-      result.trace ? scan_trace(point, *result.trace) : Adaptivity{};
-  state.counters["mode_switches"] = static_cast<double>(adapt.mode_switches);
-  state.counters["sync_fraction_pct"] =
-      adapt.rounds == 0 ? 0.0
-                        : 100.0 * static_cast<double>(adapt.sync_rounds) /
-                              static_cast<double>(adapt.rounds);
-  state.counters["final_measured_eff_pct"] = adapt.final_efficiency * 100.0;
+void export_round_cost(State& state, const SimulationResult& r) {
+  export_counters(state, r);
   state.counters["avg_round_ms"] =
-      result.gvt_rounds == 0 ? 0.0 : 1000.0 * result.gvt_round_seconds /
-                                         static_cast<double>(result.gvt_rounds);
+      r.gvt_rounds == 0 ? 0.0
+                        : 1000.0 * r.gvt_round_seconds / static_cast<double>(r.gvt_rounds);
 }
 
-void BM_CaComp(benchmark::State& state) {
-  adaptivity_point(state, "comp", Workload::computation());
-}
-void BM_CaComm(benchmark::State& state) {
-  adaptivity_point(state, "comm", Workload::communication());
+/// A CA-GVT point. Its counters function reads the adaptivity table out of
+/// the point's trace and prints the mode switches; counters are exported in
+/// registration order, so the printed lines keep their order.
+Series adaptivity_series(const char* name, const char* point, const Workload& workload) {
+  return {name, {}, product({}),
+          [workload](const Args&) {
+            SimulationConfig cfg = figure_config(8);
+            cfg.gvt = GvtKind::kControlledAsync;
+            cfg.obs.trace = true;  // the table is read back out of the trace records
+            return core::run_phold(cfg, workload);
+          },
+          [point](State& state, const SimulationResult& r) {
+            export_round_cost(state, r);
+            const Adaptivity adapt = r.trace ? scan_trace(point, *r.trace) : Adaptivity{};
+            state.counters["mode_switches"] = static_cast<double>(adapt.mode_switches);
+            state.counters["sync_fraction_pct"] =
+                adapt.rounds == 0 ? 0.0
+                                  : 100.0 * static_cast<double>(adapt.sync_rounds) /
+                                        static_cast<double>(adapt.rounds);
+            state.counters["final_measured_eff_pct"] = adapt.final_efficiency * 100.0;
+          }};
 }
 
 /// Per-round CPU comparison: Mattern's average round span under the same
 /// computation workload (paper: 4.4s vs CA's 4.78s per round).
-void BM_MatternCompRoundCost(benchmark::State& state) {
+SimulationResult mattern_round_cost_point(const Args&) {
   SimulationConfig cfg = figure_config(8);
   cfg.gvt = GvtKind::kMattern;
-  SimulationResult result;
-  for (auto _ : state) result = core::run_phold(cfg, Workload::computation());
-  export_counters(state, result);
-  state.counters["avg_round_ms"] =
-      result.gvt_rounds == 0 ? 0.0 : 1000.0 * result.gvt_round_seconds /
-                                         static_cast<double>(result.gvt_rounds);
+  return core::run_phold(cfg, Workload::computation());
 }
-
-BENCHMARK(BM_CaComp)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CaComm)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatternCompRoundCost)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cagvt::bench
 
-CAGVT_BENCH_MAIN_WITH_JSON("tab02")
+int main(int argc, char** argv) {
+  using namespace cagvt::bench;
+  return run_figure_main(
+      argc, argv, "tab02",
+      {adaptivity_series("BM_CaComp", "comp", Workload::computation()),
+       adaptivity_series("BM_CaComm", "comm", Workload::communication()),
+       {"BM_MatternCompRoundCost", {}, product({}), mattern_round_cost_point,
+        export_round_cost}});
+}

@@ -1,34 +1,25 @@
 #!/usr/bin/env python3
-"""Parse CA-GVT bench output into CSV series, one row per figure point.
+"""Turn BENCH_*.json reports into CSV series, one row per figure point.
 
-Two input formats:
+Every bench binary writes its google-benchmark JSON report to
+BENCH_<figure>.json (bench/bench_json.hpp); pass one or more of them:
 
-  * google-benchmark console output (the historical path):
-        for b in build/bench/*; do echo "=== $(basename $b)"; $b; done > bench_output.txt
-        python3 scripts/bench_to_csv.py bench_output.txt > figures.csv
-
-  * machine-readable BENCH_*.json baselines written by the ablation
-    binaries (bench/bench_json.hpp). Any argument ending in .json is
-    parsed as a google-benchmark JSON report; several can be mixed:
-        python3 scripts/bench_to_csv.py BENCH_abl04.json BENCH_abl08.json > ablations.csv
+    CAGVT_BENCH_JSON_DIR=. build/bench/abl04_imbalance
+    python3 scripts/bench_to_csv.py BENCH_*.json > figures.csv
 
 Columns: figure, series, x (nodes / interval / threshold / hot_factor /
 scenario), rate_events_s, efficiency_pct, rollbacks, gvt_rounds,
-sync_rounds, sim_wall_s, plus any extra counters present in JSON inputs
+sync_rounds, sim_wall_s, plus any extra counters present in the inputs
 (lvt_roughness, migrations, ...).
 """
 
+import argparse
 import json
 import os
 import re
-import sys
 
-ROW = re.compile(r"^(BM_\w+)((?:/(?!iterations:)\w+:\d+)*)/iterations:1\s")
-COUNTER = re.compile(r"(\w+)=([-\d.eku]+[MKGmu]?)")
 JSON_NAME = re.compile(r"^(BM_\w+)((?:/(?!iterations:)\w+:\d+)*)")
 ARG = re.compile(r"/(?!iterations:)\w+:(\d+)")
-
-SUFFIX = {"k": 1e3, "K": 1e3, "M": 1e6, "G": 1e9, "m": 1e-3, "u": 1e-6}
 
 FIELDS = [
     "rate_events_s",
@@ -57,32 +48,10 @@ EXTRA_FIELDS = [
 ]
 
 
-def parse_value(text: str) -> float:
-    if text and text[-1] in SUFFIX:
-        return float(text[:-1]) * SUFFIX[text[-1]]
-    return float(text)
-
-
 def figure_from_path(path: str) -> str:
     stem = os.path.basename(path)
     stem = stem.removesuffix(".json").removeprefix("BENCH_")
     return stem
-
-
-def rows_from_console(path: str):
-    figure = "?"
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("==="):
-                figure = line.split()[-1]
-                continue
-            match = ROW.match(line)
-            if not match:
-                continue
-            series = match.group(1).removeprefix("BM_")
-            x = "/".join(ARG.findall(match.group(2)))
-            counters = {k: parse_value(v) for k, v in COUNTER.findall(line)}
-            yield figure, series, x, counters
 
 
 def rows_from_json(path: str):
@@ -111,8 +80,7 @@ def rows_from_json(path: str):
 def main(paths: list[str]) -> None:
     rows = []
     for path in paths:
-        reader = rows_from_json if path.endswith(".json") else rows_from_console
-        rows.extend(reader(path))
+        rows.extend(rows_from_json(path))
 
     extras = [f for f in EXTRA_FIELDS if any(f in c for _, _, _, c in rows)]
     fields = FIELDS + extras
@@ -126,4 +94,6 @@ def main(paths: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] if len(sys.argv) > 1 else ["bench_output.txt"])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("reports", nargs="+", metavar="BENCH_figure.json")
+    main(parser.parse_args().reports)

@@ -2,9 +2,9 @@
 """Guard the committed BENCH_*.json baselines.
 
 Default mode: fail when a bench binary advertises a JSON baseline that is
-not committed. Every bench source that uses
-CAGVT_BENCH_MAIN_WITH_JSON("<figure>") or run_figure_main(..., "<figure>",
-...) writes BENCH_<figure>.json on each run (bench/bench_json.hpp). Those
+not committed. Every bench source calls run_figure_main(argc, argv,
+"<figure>", ...), which writes BENCH_<figure>.json on each run
+(bench/figure_common.hpp, bench/bench_json.hpp). Those
 reports are the perf-trajectory baselines, so each advertised figure must
 have its baseline checked in at the repository root. This mode scans
 bench/*.cpp for advertised figure names and errors on any missing (or
@@ -16,8 +16,8 @@ committed file of the same name, and its points to the baseline's points
 by benchmark name. The simulator is deterministic, so every field must be
 equal, except the host timings (real_time, cpu_time) and google-benchmark
 bookkeeping. A changed value, or a field present on only one side, fails.
-A point only in the fresh report fails; a point only in the baseline is
-skipped (e.g. abl11's 128/256-node points, generated only with
+A point present on only one side fails, except the baseline-only points
+in STRESS_ONLY_POINTS (abl11's 128/256-node points, generated only with
 CAGVT_ABL11_STRESS=1).
 
 Usage:
@@ -33,7 +33,6 @@ import os
 import re
 import sys
 
-MACRO = re.compile(r'CAGVT_BENCH_MAIN_WITH_JSON\("([^"]+)"\)')
 FIGURE_MAIN = re.compile(r'run_figure_main\(\s*argc,\s*argv,\s*"([^"]+)"')
 
 # Host timings and google-benchmark bookkeeping: not simulation output.
@@ -41,6 +40,16 @@ IGNORED_FIELDS = {
     "real_time", "cpu_time", "time_unit", "name", "run_name", "run_type",
     "family_index", "per_family_instance_index", "repetitions",
     "repetition_index", "threads", "iterations",
+}
+
+# Points a default run leaves out: the baseline holds them, a fresh report
+# only when generated with CAGVT_ABL11_STRESS=1.
+STRESS_ONLY_POINTS = {
+    "BENCH_abl11.json": {
+        f"BM_{series}/nodes:{nodes}/iterations:1"
+        for series in ("Barrier", "Mattern", "CaGvt", "Epoch")
+        for nodes in (128, 256)
+    },
 }
 
 
@@ -51,9 +60,8 @@ def advertised_figures(bench_dir):
             continue
         with open(os.path.join(bench_dir, fname)) as f:
             src = f.read()
-        for pattern in (MACRO, FIGURE_MAIN):
-            for figure in pattern.findall(src):
-                figures[figure] = fname
+        for figure in FIGURE_MAIN.findall(src):
+            figures[figure] = fname
     return figures
 
 
@@ -117,6 +125,8 @@ def diff_report(baseline_path, fresh_path):
             elif point[field] != base[field]:
                 failures.append(f"{fname} {name}: {field} = {point[field]!r}, "
                                 f"baseline {base[field]!r}")
+    for name in sorted(set(baseline) - set(fresh) - STRESS_ONLY_POINTS.get(fname, set())):
+        failures.append(f"{fname} {name}: missing from the run")
     return failures
 
 

@@ -159,9 +159,7 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
         double bound = gvt_->clamp().bound();
         for (const RoundHook* hook : loop_hooks_)
           bound = std::min(bound, hook->exec_bound(worker.global_worker));
-        pdes::Outcome out = bound == pdes::kVtInfinity
-                                ? worker.kernel.process_next()
-                                : worker.kernel.process_next_bounded(bound);
+        pdes::Outcome out = worker.kernel.process_next_bounded(bound);
         if (!out.processed) break;
         ++processed;
         did_work = true;

@@ -140,18 +140,14 @@ void ThreadEngine::maybe_announce(Worker& self, int w) {
       // trigger fires from ANY worker the moment the in-flight backlog
       // exceeds the bound (the stateless raw check — the stateful
       // hysteresis/escalation policy is coordinator-owned inside the
-      // fence); the escalated kSync tier shortens the initiator's cadence.
+      // fence). Otherwise it falls through to the epoch cadence below,
+      // whose escalated kSync tier shortens the initiator's interval.
       const auto backlog = in_flight_.load(std::memory_order_relaxed);
       if (backlog > 0 && trigger_.trips(1.0, static_cast<double>(backlog))) {
         fence_->announce(/*control=*/true);
         break;
       }
-      if (w != 0) break;
-      const bool degraded = fence_->tier() == core::SyncTier::kSync;
-      const std::uint64_t effective =
-          degraded ? std::max<std::uint64_t>(1, interval / 4) : interval;
-      if (self.iters_since_round >= effective) fence_->announce(/*control=*/degraded);
-      break;
+      [[fallthrough]];
     }
     case GvtKind::kEpoch: {
       // The real-thread fence quiesces every worker per round, which
@@ -159,9 +155,9 @@ void ThreadEngine::maybe_announce(Worker& self, int w) {
       // a Mattern-shaped cadence: one initiator, interval-clocked. The
       // epoch protocol itself (tags, tree waves) lives in the simulated
       // backend; here only the announce discipline differs per kind. The
-      // escalated kSync tier tightens the cadence the same way CA-GVT's
-      // degraded mode does (the quiesced-epoch analogue); kThrottle leaves
-      // the cadence alone — only the execution clamp engages.
+      // escalated kSync tier tightens the cadence (CA-GVT's degraded mode,
+      // and its quiesced-epoch analogue); kThrottle leaves the cadence
+      // alone — only the execution clamp engages.
       if (w != 0) break;
       const bool degraded = fence_->tier() == core::SyncTier::kSync;
       const std::uint64_t effective =
@@ -233,9 +229,7 @@ void ThreadEngine::worker_main(int w) {
     const pdes::VirtualTime bound =
         std::min(self.flow_clamp.bound(), self.policy_clamp.bound());
     for (int i = 0; i < cfg_.batch; ++i) {
-      pdes::Outcome out = bound == pdes::kVtInfinity
-                              ? self.kernel.process_next()
-                              : self.kernel.process_next_bounded(bound);
+      pdes::Outcome out = self.kernel.process_next_bounded(bound);
       if (!out.processed) break;
       executed = true;
       route_externals(self, node, out.external);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "core/simulation.hpp"
@@ -40,6 +41,12 @@ struct MigrationCase {
   /// Skewed workloads must actually migrate (summed across GVT kinds).
   bool expect_migrations = false;
 };
+
+// ctest names each discovered case after the printed parameter; without a
+// printer it ends in a dump of the struct's raw bytes.
+void PrintTo(const MigrationCase& c, std::ostream* os) {
+  *os << c.model << (c.expect_migrations ? " migrates" : "");
+}
 
 class MigrationGolden : public ::testing::TestWithParam<MigrationCase> {};
 
