@@ -1,5 +1,7 @@
 #include "metasim/engine.hpp"
 
+#include <utility>
+
 namespace cagvt::metasim {
 
 Engine::~Engine() {
@@ -11,21 +13,36 @@ Engine::~Engine() {
   }
 }
 
-void Engine::call_at(SimTime when, std::function<void()> fn) {
+void Engine::push_callback(SimTime when, std::function<void()> fn, bool daemon) {
   assert_owner();
   CAGVT_CHECK_MSG(when >= now_, "cannot schedule into the simulated past");
-  queue_.push(Entry{when, seq_++, std::move(fn), /*daemon=*/false});
-  ++live_count_;
+  std::uint32_t slot;
+  if (free_callbacks_.empty()) {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[slot] = std::move(fn);
+  }
+  queue_.push(Entry{when, seq_++, nullptr, slot, daemon});
+  if (!daemon) ++live_count_;
+}
+
+void Engine::call_at(SimTime when, std::function<void()> fn) {
+  push_callback(when, std::move(fn), /*daemon=*/false);
 }
 
 void Engine::call_at_daemon(SimTime when, std::function<void()> fn) {
-  assert_owner();
-  CAGVT_CHECK_MSG(when >= now_, "cannot schedule into the simulated past");
-  queue_.push(Entry{when, seq_++, std::move(fn), /*daemon=*/true});
+  push_callback(when, std::move(fn), /*daemon=*/true);
 }
 
 void Engine::resume_at(SimTime when, std::coroutine_handle<> handle) {
-  call_at(when, [handle] { handle.resume(); });
+  assert_owner();
+  CAGVT_CHECK_MSG(when >= now_, "cannot schedule into the simulated past");
+  CAGVT_ASSERT(handle);
+  queue_.push(Entry{when, seq_++, handle, 0, /*daemon=*/false});
+  ++live_count_;
 }
 
 SimTime Engine::run(SimTime until) {
@@ -34,17 +51,23 @@ SimTime Engine::run(SimTime until) {
   // Stop as soon as only daemon events remain: they are instrumentation,
   // and dispatching them would advance the clock past the last real work.
   while (live_count_ > 0 && !stopped_) {
-    const Entry& top = queue_.top();
-    if (top.when > until) break;
-    // Copy out before pop: the continuation may push new entries and
-    // invalidate the reference.
-    Entry entry{top.when, top.seq, std::move(const_cast<Entry&>(top).fn), top.daemon};
+    // Copy out before pop: the continuation may push new entries.
+    const Entry entry = queue_.top();
+    if (entry.when > until) break;
     queue_.pop();
     if (!entry.daemon) --live_count_;
     CAGVT_ASSERT(entry.when >= now_);
     now_ = entry.when;
     ++dispatched_;
-    entry.fn();
+    if (entry.handle) {
+      entry.handle.resume();
+    } else {
+      // Move the callback out and free its slot first: it may schedule
+      // callbacks of its own, which reuse the slot or grow the slab.
+      const std::function<void()> fn = std::exchange(callbacks_[entry.callback], nullptr);
+      free_callbacks_.push_back(entry.callback);
+      fn();
+    }
     if (pending_exception_) {
       std::exception_ptr e = pending_exception_;
       pending_exception_ = nullptr;

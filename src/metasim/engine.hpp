@@ -24,6 +24,7 @@
 #include <functional>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "metasim/time.hpp"
@@ -81,18 +82,25 @@ class Engine {
   void assert_owner() const { CAGVT_ASSERT(std::this_thread::get_id() == owner_); }
 
  private:
+  /// One queued continuation, 32 bytes and trivially copyable. A coroutine
+  /// resumption (every delay, barrier release and lock hand-off) carries
+  /// its handle; a callback carries its index in callbacks_.
   struct Entry {
     SimTime when;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::coroutine_handle<> handle;  // null for a callback
+    std::uint32_t callback = 0;      // callbacks_ slot when handle is null
     bool daemon = false;
   };
+  static_assert(sizeof(Entry) == 32 && std::is_trivially_copyable_v<Entry>);
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
+
+  void push_callback(SimTime when, std::function<void()> fn, bool daemon);
 
   std::thread::id owner_ = std::this_thread::get_id();
   SimTime now_ = 0;
@@ -101,6 +109,11 @@ class Engine {
   std::uint64_t live_count_ = 0;  // queued non-daemon events
   bool stopped_ = false;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  /// Slab of pending callbacks. A dispatched slot goes on free_callbacks_
+  /// before its callback runs, so callbacks it schedules can reuse it;
+  /// callbacks still pending at teardown are destroyed with the engine.
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<std::uint32_t> free_callbacks_;
   std::vector<std::coroutine_handle<>> frames_;
   std::exception_ptr pending_exception_;
 };

@@ -3,15 +3,30 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 namespace cagvt::pdes {
 
 ThreadKernel::ThreadKernel(const Model& model, const LpMap& map, int worker, KernelConfig cfg)
-    : model_(model), map_(map), worker_(worker), cfg_(cfg) {
+    : model_(model),
+      map_(map),
+      worker_(worker),
+      cfg_(cfg),
+      home_first_(map.first_lp_of_worker(worker)),
+      home_slot_(static_cast<std::size_t>(map.lps_per_worker())) {
   CAGVT_CHECK(worker >= 0 && worker < map.total_workers());
-  for (int k = 0; k < map.lps_per_worker(); ++k) lps_.emplace(map.lp_of(worker, k), Lp{});
+  lps_.reserve(static_cast<std::size_t>(map.lps_per_worker()));
+  for (int k = 0; k < map.lps_per_worker(); ++k) lps_.emplace_back(map.lp_of(worker, k), Lp{});
+  reindex();
+}
+
+void ThreadKernel::reindex() {
+  std::fill(home_slot_.begin(), home_slot_.end(), -1);
+  for (std::size_t i = 0; i < lps_.size(); ++i) {
+    const auto offset =
+        static_cast<std::size_t>(static_cast<std::int64_t>(lps_[i].first) - home_first_);
+    if (offset < home_slot_.size()) home_slot_[offset] = static_cast<std::int32_t>(i);
+  }
 }
 
 void ThreadKernel::init() {
@@ -156,7 +171,7 @@ void ThreadKernel::apply_positive(const Event& event, Outcome& out) {
     const int undone_before = out.rolled_back;
     const bool duplicate =
         rollback(lp, key_of(event), /*annihilate_target=*/false, out);
-    note_rollback(event.dst_lp, out.rolled_back - undone_before, "straggler");
+    note_rollback(event.dst_lp, out.rolled_back - undone_before, /*secondary=*/false);
     out.was_straggler = true;
     if (duplicate) {
       // The "straggler" is a redundant copy of an event that is still
@@ -190,7 +205,7 @@ void ThreadKernel::apply_anti(const Event& event, Outcome& out) {
     ++stats_.rollback_episodes;
     const int undone_before = out.rolled_back;
     const bool found = rollback(lp, key_of(event), /*annihilate_target=*/true, out);
-    note_rollback(event.dst_lp, out.rolled_back - undone_before, "anti");
+    note_rollback(event.dst_lp, out.rolled_back - undone_before, /*secondary=*/true);
     if (found) {
       out.annihilated = true;
       return;
@@ -275,12 +290,12 @@ bool ThreadKernel::consume_surplus(std::uint64_t uid) {
   return true;
 }
 
-void ThreadKernel::note_rollback(LpId lp, int depth, const char* cause) {
+void ThreadKernel::note_rollback(LpId lp, int depth, bool secondary) {
   rollback_depth_.observe(static_cast<double>(depth));
-  if (rollback_hook_)
-    rollback_hook_(static_cast<std::uint64_t>(depth), std::strcmp(cause, "anti") == 0);
+  if (rollback_hook_) rollback_hook_(static_cast<std::uint64_t>(depth), secondary);
   if (trace_ != nullptr)
-    trace_->rollback(obs_node_, obs_worker_, static_cast<std::uint64_t>(lp), depth, cause);
+    trace_->rollback(obs_node_, obs_worker_, static_cast<std::uint64_t>(lp), depth,
+                     secondary ? "anti" : "straggler");
 }
 
 std::uint64_t ThreadKernel::fossil_collect(VirtualTime gvt) {
@@ -333,6 +348,7 @@ void ThreadKernel::restore(const Snapshot& snap) {
   // migration the checkpointed ownership may differ from the current one,
   // and the owner table is rewound to the same cut by the recovery layer.
   lps_ = snap.lps;
+  reindex();
   pending_ = snap.pending;
   early_antis_ = snap.early_antis;
   surplus_ = snap.surplus;
@@ -352,12 +368,14 @@ std::int64_t ThreadKernel::LpPackage::bytes() const {
 
 ThreadKernel::LpPackage ThreadKernel::extract_lp(LpId lp) {
   CAGVT_CHECK_MSG(queue_.empty(), "migration mid-cascade");
-  const auto it = lps_.find(lp);
-  CAGVT_CHECK_MSG(it != lps_.end(), "extracting an LP this kernel does not own");
+  const int slot = slot_of(lp);
+  CAGVT_CHECK_MSG(slot >= 0, "extracting an LP this kernel does not own");
+  const auto it = lps_.begin() + slot;
   LpPackage pkg;
   pkg.lp = lp;
   pkg.data = std::move(it->second);
   lps_.erase(it);
+  reindex();
   live_history_ -= pkg.data.history.size();
   pkg.pending = pending_.extract_lp(lp);
   for (auto ea = early_antis_.begin(); ea != early_antis_.end();) {
@@ -383,8 +401,11 @@ ThreadKernel::LpPackage ThreadKernel::extract_lp(LpId lp) {
 
 void ThreadKernel::install_lp(LpPackage&& pkg) {
   CAGVT_CHECK_MSG(queue_.empty(), "migration mid-cascade");
-  const auto [it, inserted] = lps_.emplace(pkg.lp, std::move(pkg.data));
-  CAGVT_CHECK_MSG(inserted, "installing an LP this kernel already owns");
+  auto it = lower_bound_lp(lps_, pkg.lp);
+  CAGVT_CHECK_MSG(it == lps_.end() || it->first != pkg.lp,
+                  "installing an LP this kernel already owns");
+  it = lps_.emplace(it, pkg.lp, std::move(pkg.data));
+  reindex();
   live_history_ += it->second.history.size();
   if (live_history_ > stats_.max_history) stats_.max_history = live_history_;
   for (const Event& e : pkg.pending) pending_.push(e);

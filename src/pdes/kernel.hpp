@@ -20,9 +20,10 @@
 //  * fossil_collect() frees history older than GVT and counts commits.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,6 +85,11 @@ class ThreadKernel {
     double window_work = 0;
   };
 
+  /// Owned LPs as (id, LP) pairs sorted by id, so every aggregate walk
+  /// (init, fossil collection, state hash, work drain) iterates in
+  /// ascending id order.
+  using LpTable = std::vector<std::pair<LpId, Lp>>;
+
   /// Redundant copies of a positive that is already pending or processed
   /// (dynamic placement only — see KernelConfig::dynamic_placement). Each
   /// surplus copy annihilates against the in-flight anti of its pair; the
@@ -138,7 +144,7 @@ class ThreadKernel {
   /// horizon" CHECKs the proof that recovery never rolls back past the
   /// checkpoint's GVT.
   struct Snapshot {
-    std::map<LpId, Lp> lps;
+    LpTable lps;
     PendingSet pending;
     std::unordered_map<std::uint64_t, LpId> early_antis;
     std::unordered_map<std::uint64_t, SurplusPositive> surplus;
@@ -269,17 +275,35 @@ class ThreadKernel {
   // Ownership is kernel-local presence, not a map lookup: the OwnerTable
   // and the kernels' LP sets are updated together at migration fences, so
   // the two views never disagree while events are in flight.
-  bool owns(LpId lp) const { return lps_.contains(lp); }
+  bool owns(LpId lp) const { return slot_of(lp) >= 0; }
   Lp& lp_ref(LpId lp) {
-    const auto it = lps_.find(lp);
-    CAGVT_ASSERT(it != lps_.end());
-    return it->second;
+    const int slot = slot_of(lp);
+    CAGVT_ASSERT(slot >= 0);
+    return lps_[static_cast<std::size_t>(slot)].second;
   }
   const Lp& lp_ref(LpId lp) const {
-    const auto it = lps_.find(lp);
-    CAGVT_ASSERT(it != lps_.end());
-    return it->second;
+    const int slot = slot_of(lp);
+    CAGVT_ASSERT(slot >= 0);
+    return lps_[static_cast<std::size_t>(slot)].second;
   }
+
+  /// First entry of a sorted LP table whose id is not below `lp`.
+  template <typename Table>
+  static auto lower_bound_lp(Table& table, LpId lp) {
+    return std::lower_bound(table.begin(), table.end(), lp,
+                            [](const auto& entry, LpId id) { return entry.first < id; });
+  }
+  /// Position of `lp` in lps_, or -1 if this kernel does not own it. An LP
+  /// of the worker's home block is one read of home_slot_; an LP that
+  /// migrated in from elsewhere is a binary search over lps_.
+  int slot_of(LpId lp) const {
+    const auto offset = static_cast<std::size_t>(static_cast<std::int64_t>(lp) - home_first_);
+    if (offset < home_slot_.size()) return home_slot_[offset];
+    const auto it = lower_bound_lp(lps_, lp);
+    return it != lps_.end() && it->first == lp ? static_cast<int>(it - lps_.begin()) : -1;
+  }
+  /// Rebuild home_slot_ after lps_ changed shape (migration or restore).
+  void reindex();
 
   /// Apply a message destined to one of my LPs; cascades are pushed onto
   /// `queue_` and externals onto out.external.
@@ -298,15 +322,21 @@ class ThreadKernel {
   bool consume_surplus(std::uint64_t uid);
   void drain_queue(Outcome& out);
   void route_or_queue(const Event& event, Outcome& out);
-  void note_rollback(LpId lp, int depth, const char* cause);
+  /// `secondary`: the episode was caused by an anti-message (trace cause
+  /// "anti") rather than a straggler positive ("straggler").
+  void note_rollback(LpId lp, int depth, bool secondary);
 
   const Model& model_;
   LpMap map_;
   int worker_;
   KernelConfig cfg_;
-  /// Owned LPs, keyed by id. Ordered so every aggregate walk (init, fossil
-  /// collection, state hash, work drain) iterates deterministically.
-  std::map<LpId, Lp> lps_;
+  LpTable lps_;
+  /// First LP of this worker's home block in the LpMap; home_slot_[k] is
+  /// the lps_ position of LP home_first_ + k, or -1 while it lives
+  /// elsewhere. Sized to the block, not to the cluster, so the index costs
+  /// O(lps_per_worker) per kernel.
+  LpId home_first_;
+  std::vector<std::int32_t> home_slot_;
   PendingSet pending_;
   std::vector<Event> queue_;  // same-thread cascade work list
   /// Early anti-messages: uid -> destination LP (the LP id travels with a

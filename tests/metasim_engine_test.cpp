@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
+
+#include "metasim/process.hpp"
 
 namespace cagvt::metasim {
 namespace {
@@ -83,6 +87,77 @@ TEST(EngineTest, ExceptionFromCallbackPropagates) {
     engine.set_pending_exception(std::make_exception_ptr(std::runtime_error("boom")));
   });
   EXPECT_THROW(engine.run(), std::runtime_error);
+}
+
+Process record(std::vector<std::string>* order, std::string name) {
+  order->push_back(std::move(name));
+  co_return;
+}
+
+TEST(EngineTest, EqualTimeEntriesOfEveryKindDispatchInSchedulingOrder) {
+  // Coroutine resumptions and callbacks (live or daemon) share one
+  // (time, sequence) order: kind never reorders equal-time entries.
+  Engine engine;
+  std::vector<std::string> order;
+  engine.call_at(5, [&] { order.push_back("call-0"); });
+  spawn(engine, record(&order, "resume-1"), 5);  // resume_at(5, ...)
+  engine.call_at_daemon(5, [&] { order.push_back("daemon-2"); });
+  engine.call_at(5, [&] { order.push_back("call-3"); });
+  spawn(engine, record(&order, "resume-4"), 5);
+  engine.call_at(4, [&] { order.push_back("early"); });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"early", "call-0", "resume-1", "daemon-2",
+                                             "call-3", "resume-4"}));
+  EXPECT_EQ(engine.dispatched(), 6u);
+}
+
+TEST(EngineTest, CallbacksSchedulingCallbacksReuseSlotsInOrder) {
+  // Each dispatched callback frees its slab slot before it runs, so the
+  // callbacks it schedules reuse slots while older ones are still pending.
+  // Order must stay (time, scheduling order) throughout.
+  Engine engine;
+  std::vector<std::string> order;
+  struct Fan {
+    Engine* engine;
+    std::vector<std::string>* order;
+    void operator()(const std::string& name, int depth) const {
+      order->push_back(name);
+      if (depth == 0) return;
+      const Fan self = *this;
+      // Two at the same time (behind everything queued at now), one later.
+      for (const char* tag : {"a", "b"})
+        engine->call_at(engine->now(), [self, name, tag, depth] { self(name + tag, depth - 1); });
+      engine->call_at(engine->now() + 1, [self, name, depth] { self(name + "L", depth - 1); });
+    }
+  };
+  const Fan fan{&engine, &order};
+  engine.call_at(0, [fan] { fan("x", 2); });
+  engine.call_at(0, [fan] { fan("y", 1); });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       // t=0
+                       "x", "y", "xa", "xb", "ya", "yb", "xaa", "xab", "xba", "xbb",
+                       // t=1
+                       "xL", "yL", "xaL", "xbL", "xLa", "xLb",
+                       // t=2
+                       "xLL"}));
+  EXPECT_EQ(engine.now(), 2);
+}
+
+TEST(EngineTest, CallbackCapturesAreReleasedAfterDispatchAndAtTeardown) {
+  auto token = std::make_shared<int>(7);
+  {
+    Engine engine;
+    engine.call_at(1, [token] {});
+    engine.call_at(10, [token] {});
+    engine.call_at_daemon(20, [token] {});
+    EXPECT_EQ(token.use_count(), 4);
+    engine.run(5);  // dispatches only the first
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_FALSE(engine.empty());
+  }
+  // The two still pending died with the engine.
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EngineDeathTest, SchedulingInThePastAborts) {

@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <deque>
+#include <ostream>
 
 #include "models/phold.hpp"
 #include "pdes/kernel.hpp"
@@ -142,6 +143,11 @@ struct GoldenCase {
   double regional;
   std::uint64_t seed;
 };
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << "nodes=" << c.nodes << " workers=" << c.workers << " lps=" << c.lps << " lag=" << c.lag
+      << " remote=" << c.remote << " regional=" << c.regional << " seed=" << c.seed;
+}
 
 class GoldenSweep : public ::testing::TestWithParam<GoldenCase> {};
 

@@ -273,5 +273,98 @@ TEST(KernelTest, MaxHistoryTracksPeakMemory) {
   EXPECT_EQ(kernel.stats().max_history, 2u);
 }
 
+// The kernel finds a home-block LP through its slot index and an LP that
+// migrated in from outside that block by binary search; both views must
+// follow every extract/install and every restore.
+class KernelSlotTest : public ::testing::Test {
+ protected:
+  // Worker 0: LPs 0,1; worker 1 (under test): LPs 2,3; worker 2: LPs 4,5.
+  KernelSlotTest() : map_(1, 3, 2), model_(map_, model_cfg()) {
+    for (int w = 0; w < 3; ++w) {
+      kernels_.emplace_back(model_, map_, w, KernelConfig{.end_vt = 100, .seed = 1});
+      kernels_.back().init();
+    }
+  }
+  static TestModelCfg model_cfg() {
+    TestModelCfg cfg;
+    cfg.generate = false;  // each LP holds just its start event at 1.0 + 0.25k
+    return cfg;
+  }
+  void move(LpId lp, int from, int to) {
+    kernels_[static_cast<std::size_t>(to)].install_lp(
+        kernels_[static_cast<std::size_t>(from)].extract_lp(lp));
+  }
+
+  LpMap map_;
+  TestModel model_;
+  std::vector<ThreadKernel> kernels_;
+};
+
+TEST_F(KernelSlotTest, ForeignLpsAreFoundAlongsideTheHomeBlock) {
+  ThreadKernel& kernel = kernels_[1];
+  move(2, 1, 0);  // a home LP leaves
+  move(0, 0, 1);  // foreign LPs arrive from below and above the home block
+  move(5, 2, 1);
+
+  EXPECT_EQ(kernel.owned_lps(), (std::vector<LpId>{0, 3, 5}));
+  EXPECT_EQ(kernel.lp_count(), 3);
+  for (LpId lp = 0; lp < map_.total_lps(); ++lp)
+    EXPECT_EQ(kernel.owns_lp(lp), lp == 0 || lp == 3 || lp == 5) << "lp " << lp;
+  EXPECT_EQ(kernels_[0].owned_lps(), (std::vector<LpId>{1, 2}));
+  EXPECT_TRUE(kernels_[0].owns_lp(2));
+
+  // A deposit reaches the installed LP; its start event came along.
+  EXPECT_FALSE(kernel.deposit(positive(3.0, 901, /*src=*/1, /*dst=*/5)).annihilated);
+  EXPECT_EQ(kernel.pending_size(), 4u);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(kernel.process_next().processed);
+  EXPECT_FALSE(kernel.process_next().processed);
+  EXPECT_EQ(state_of(kernel, 5).count, 2u);
+  EXPECT_DOUBLE_EQ(kernel.lp_lvt(5), 3.0);
+  EXPECT_DOUBLE_EQ(kernel.lp_lvt(0), 1.0);
+  EXPECT_DOUBLE_EQ(kernel.lp_lvt(3), 1.75);
+
+  // A home LP can come back between foreign ones.
+  move(2, 0, 1);
+  EXPECT_EQ(kernel.owned_lps(), (std::vector<LpId>{0, 2, 3, 5}));
+  ASSERT_TRUE(kernel.process_next().processed);  // LP2's start event, 1.5
+  EXPECT_EQ(state_of(kernel, 2).count, 1u);
+  EXPECT_EQ(state_of(kernel, 5).count, 2u);
+}
+
+TEST_F(KernelSlotTest, RestoreRebuildsTheSlotIndexAcrossAMigration) {
+  ThreadKernel& kernel = kernels_[1];
+  const ThreadKernel::Snapshot home_only = kernel.snapshot();
+
+  move(2, 1, 0);
+  move(5, 2, 1);
+  const ThreadKernel::Snapshot migrated = kernel.snapshot();
+  ASSERT_EQ(migrated.lps.size(), 2u);
+  EXPECT_EQ(migrated.lps[0].first, 3);
+  EXPECT_EQ(migrated.lps[1].first, 5);
+
+  // Back to the home block: LP 2 is found again, LP 5 is gone.
+  kernel.restore(home_only);
+  EXPECT_EQ(kernel.owned_lps(), (std::vector<LpId>{2, 3}));
+  EXPECT_TRUE(kernel.owns_lp(2));
+  EXPECT_FALSE(kernel.owns_lp(5));
+  kernel.deposit(positive(4.0, 902, /*src=*/0, /*dst=*/2));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(kernel.process_next().processed);
+  EXPECT_EQ(state_of(kernel, 2).count, 2u);
+  EXPECT_DOUBLE_EQ(kernel.lp_lvt(2), 4.0);
+
+  // Forward again to the migrated cut: LP 2 is away, LP 5 is back with its
+  // pending start event, and a deposit reaches it.
+  kernel.restore(migrated);
+  EXPECT_EQ(kernel.owned_lps(), (std::vector<LpId>{3, 5}));
+  EXPECT_FALSE(kernel.owns_lp(2));
+  EXPECT_TRUE(kernel.owns_lp(5));
+  EXPECT_EQ(kernel.pending_size(), 2u);
+  kernel.deposit(positive(6.0, 903, /*src=*/0, /*dst=*/5));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(kernel.process_next().processed);
+  EXPECT_FALSE(kernel.process_next().processed);
+  EXPECT_EQ(state_of(kernel, 5).count, 2u);
+  EXPECT_DOUBLE_EQ(kernel.lp_lvt(5), 6.0);
+}
+
 }  // namespace
 }  // namespace cagvt::pdes
