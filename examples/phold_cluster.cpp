@@ -11,15 +11,12 @@
 //   --end T            virtual end time (50)
 //   --gvt SPEC         barrier | mattern | ca-gvt | epoch (ca-gvt), with
 //                      optional trigger-policy parameters:
-//                        --gvt=epoch,escalate=3,clamp=4,release=0.05,
-//                              queue-alpha=0.5,calm=2
+//                        --gvt=epoch,escalate=3,clamp=4
 //                      escalate=K   tripped rounds before a quiesced sync
 //                                   round/epoch (0 = never escalate)
 //                      clamp=C      throttle-tier execution bound GVT + C
-//                      release=M    hysteresis margin above the efficiency
-//                                   threshold required to release
-//                      queue-alpha=A  EWMA weight of the queue-peak signal
-//                      calm=N       calm rounds before the clamp releases
+//                      (the release hysteresis is fixed: two calm rounds
+//                      at threshold + 0.05, queue EWMA weight 0.5)
 //   --tree-arity N     fan-in of the tree all-reduce used by collectives;
 //                      0 keeps flat reductions except for --gvt=epoch,
 //                      which autotunes the arity from the cluster cost

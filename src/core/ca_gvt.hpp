@@ -25,9 +25,9 @@
 // The entire synchronous-round machinery — the barrier insertion points,
 // the SyncFlag distribution, and the dedicated MPI thread's barrier
 // participation — lives in MatternGvt (checkpoint/restore rounds reuse it
-// under every policy), and the tiered trigger policy in GvtAlgorithm::decide
-// (shared with the epoch GVT and, via core/gvt_policy.hpp, the thread
-// backend); this class only switches the policy on and charges its cost.
+// under every policy), and the tier policy in GvtAlgorithm::decide (engaged
+// for this kind by core::tier_policy_from, shared with the epoch GVT and
+// the thread backend's fence); this class only charges its cost.
 #pragma once
 
 #include "core/mattern_gvt.hpp"
@@ -36,7 +36,7 @@ namespace cagvt::core {
 
 class CaGvt final : public MatternGvt {
  public:
-  explicit CaGvt(NodeRuntime& node) : MatternGvt(node, /*adaptive=*/true) {}
+  explicit CaGvt(NodeRuntime& node) : MatternGvt(node) {}
 
  protected:
   metasim::SimTime contribute_overhead() const override {

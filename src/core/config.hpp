@@ -84,15 +84,6 @@ struct SimulationConfig {
   /// may not process events past GVT + C virtual time units. Spelled
   /// `clamp=`.
   double gvt_throttle_clamp = 4.0;
-  /// Hysteresis release margin: the policy only counts a round as calm
-  /// when efficiency exceeds threshold + margin. Spelled `release=`.
-  double ca_release_margin = 0.05;
-  /// EWMA weight of the newest per-round queue peak in the smoothed queue
-  /// trigger (1.0 = raw peaks, no smoothing). Spelled `queue-alpha=`.
-  double ca_queue_alpha = 0.5;
-  /// Consecutive calm rounds before an engaged policy releases its clamp.
-  /// Spelled `calm=`.
-  int gvt_calm_rounds = 2;
   /// Fan-out of the vmpi tree reduction (net/tree_reduce.hpp). 0 keeps the
   /// flat rendezvous collectives (status quo for barrier/mattern/ca-gvt);
   /// >= 2 routes node-level collectives over the reduce-up/broadcast-down
@@ -165,14 +156,6 @@ struct SimulationConfig {
       throw std::invalid_argument(
           "--gvt clamp must be >= 1 virtual-time unit (the throttle tier "
           "bounds execution to GVT + clamp)");
-    if (ca_release_margin < 0 || ca_release_margin > 1)
-      throw std::invalid_argument("--gvt release margin must be in [0,1]");
-    if (!(ca_queue_alpha > 0) || ca_queue_alpha > 1)
-      throw std::invalid_argument(
-          "--gvt queue-alpha must be in (0,1] (1 = unsmoothed queue peaks)");
-    if (gvt_calm_rounds < 1)
-      throw std::invalid_argument(
-          "--gvt calm must be >= 1 round before the clamp releases");
     if (gvt_tree_arity != 0 && gvt_tree_arity < 2)
       throw std::invalid_argument("gvt_tree_arity must be 0 (flat collectives) or >= 2");
     if (ckpt_every < 0) throw std::invalid_argument("ckpt_every must be >= 0");
@@ -266,18 +249,17 @@ inline MpiPlacement mpi_placement_from(std::string_view name) {
                               "' (expected dedicated, combined, or everywhere)");
 }
 
-/// The tiered trigger policy a configuration implies (core/gvt_policy.hpp).
-/// Shared by CA-GVT, the epoch GVT, and the real-thread fence so the
-/// adaptivity arithmetic cannot diverge between algorithms or backends.
-inline CaTriggerPolicy trigger_policy_from(const SimulationConfig& cfg) {
+/// The tier policy a configuration implies (core/gvt_policy.hpp): the
+/// tiered trigger policy is engaged for the adaptive kinds (CA-GVT and
+/// epoch) and absent for the others. The one place that choice is made;
+/// every GVT algorithm and the real-thread fence build their policy here.
+inline TierPolicy tier_policy_from(const SimulationConfig& cfg) {
+  if (cfg.gvt != GvtKind::kControlledAsync && cfg.gvt != GvtKind::kEpoch) return TierPolicy{};
   CaTriggerPolicy::Config pc;
   pc.efficiency_threshold = cfg.ca_efficiency_threshold;
-  pc.release_margin = cfg.ca_release_margin;
   pc.queue_threshold = static_cast<std::uint64_t>(cfg.ca_queue_threshold);
-  pc.queue_alpha = cfg.ca_queue_alpha;
   pc.escalate_after = cfg.gvt_escalate_rounds;
-  pc.calm_release = cfg.gvt_calm_rounds;
-  return CaTriggerPolicy(pc);
+  return TierPolicy(CaTriggerPolicy(pc));
 }
 
 /// Parse a full --gvt specification — "kind[,key=value,...]", e.g.
@@ -297,13 +279,9 @@ inline void apply_gvt_spec(SimulationConfig& cfg, std::string_view text) {
   cfg.gvt_escalate_rounds =
       static_cast<int>(opts.get_int("escalate", cfg.gvt_escalate_rounds));
   cfg.gvt_throttle_clamp = opts.get_double("clamp", cfg.gvt_throttle_clamp);
-  cfg.ca_release_margin = opts.get_double("release", cfg.ca_release_margin);
-  cfg.ca_queue_alpha = opts.get_double("queue-alpha", cfg.ca_queue_alpha);
-  cfg.gvt_calm_rounds = static_cast<int>(opts.get_int("calm", cfg.gvt_calm_rounds));
   for (const std::string& key : opts.unused_keys())
-    throw std::invalid_argument(
-        "unknown --gvt parameter: '" + key +
-        "' (expected escalate, clamp, release, queue-alpha, or calm)");
+    throw std::invalid_argument("unknown --gvt parameter: '" + key +
+                                "' (expected escalate or clamp)");
 }
 
 /// Pick a tree-reduction arity for `nodes` ranks from the cluster cost

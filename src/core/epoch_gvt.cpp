@@ -46,8 +46,8 @@ void EpochGvt::complete_epoch(const net::TreeVal& total) {
   CAGVT_CHECK(phase_ == Phase::kReduce);
   const double gvt = std::min(total.min_a, total.min_b);
   CAGVT_CHECK_MSG(gvt >= gvt_value_, "epoch GVT regressed");
-  const auto committed = static_cast<std::uint64_t>(total.add_a);
-  const auto processed = static_cast<std::uint64_t>(total.add_b);
+  const DecidedEvents window{static_cast<std::uint64_t>(total.add_a),
+                             static_cast<std::uint64_t>(total.add_b)};
   const auto queue_peak = static_cast<std::uint64_t>(total.max_a);
   // Shared policy (core/gvt_policy.hpp): the same smoothing and the same
   // two triggers CA-GVT adapts on decide the NEXT epoch's tier. Every rank
@@ -56,7 +56,7 @@ void EpochGvt::complete_epoch(const net::TreeVal& total) {
   // broadcast. Throttle-first: a trip clamps execution to GVT + C while
   // epochs keep pipelining; only gvt_escalate_rounds consecutive tripped
   // epochs escalate to a quiesced synchronous epoch.
-  apply_tier(decide(gvt, committed, processed, queue_peak), gvt);
+  apply_tier(decide(gvt, window, queue_peak), gvt);
   gvt_value_ = gvt;
   phase_ = Phase::kBroadcast;
   node_.trace().phase_change(node_.rank(), round_, "broadcast");
@@ -173,8 +173,8 @@ Process EpochGvt::agent_tick(WorkerCtx* self) {
       if (first_wave_) {
         // Overhead measurements ride only the epoch's first wave; retry
         // waves re-contribute the frozen minima and refreshed balances.
-        v.add_a = static_cast<std::int64_t>(window_committed_);
-        v.add_b = static_cast<std::int64_t>(window_processed_);
+        v.add_a = static_cast<std::int64_t>(window_.committed);
+        v.add_b = static_cast<std::int64_t>(window_.processed);
         v.max_a = static_cast<std::int64_t>(node_.take_mpi_queue_peak());
         first_wave_ = false;
       }

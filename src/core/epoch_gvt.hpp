@@ -38,7 +38,7 @@
 // deferred reads, post-fossil barrier, all three buckets drained), which
 // is also how checkpoint / restore / migration epochs quiesce — identical
 // to MatternGvt's synchronous rounds. Hysteresis releases the clamp only
-// after gvt_calm_rounds calm epochs above threshold + release margin.
+// after CaTriggerPolicy::kCalmRelease calm epochs above threshold + margin.
 //
 // DESIGN §13 documents the protocol, the tree reduction, and why the
 // bounded-window conservative executor (set_always_sync) is rejected.
@@ -53,7 +53,7 @@ namespace cagvt::core {
 class EpochGvt : public GvtAlgorithm {
  public:
   explicit EpochGvt(NodeRuntime& node)
-      : GvtAlgorithm(node, /*adaptive=*/true),
+      : GvtAlgorithm(node),
         cm_mutex_(node.engine(), node.cfg().cluster.lock_acquire,
                   node.cfg().cluster.lock_handoff) {}
 

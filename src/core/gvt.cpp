@@ -13,9 +13,10 @@ using metasim::delay;
 using metasim::Process;
 using metasim::SimTime;
 
-GvtAlgorithm::GvtAlgorithm(NodeRuntime& node, bool adaptive)
+GvtAlgorithm::GvtAlgorithm(NodeRuntime& node)
     : node_(node),
       hooks_(node.hooks()),
+      policy_(tier_policy_from(node.cfg())),
       rounds_metric_(node.metrics(), "gvt.rounds"),
       sync_rounds_metric_(node.metrics(), "gvt.sync_rounds"),
       mode_switches_metric_(node.metrics(), "gvt.mode_switches"),
@@ -23,9 +24,7 @@ GvtAlgorithm::GvtAlgorithm(NodeRuntime& node, bool adaptive)
       tier_async_metric_(node.metrics(), "gvt.tier.async"),
       tier_throttle_metric_(node.metrics(), "gvt.tier.throttle"),
       tier_sync_metric_(node.metrics(), "gvt.tier.sync"),
-      tier_metric_(node.metrics(), "gvt.tier") {
-  if (adaptive) policy_.emplace(trigger_policy_from(node.cfg()));
-}
+      tier_metric_(node.metrics(), "gvt.tier") {}
 
 bool GvtAlgorithm::round_due(const WorkerCtx& worker) const {
   if (worker.gvt.iters_since_round >= node_.cfg().gvt_interval) return true;
@@ -38,8 +37,7 @@ void GvtAlgorithm::open_round(bool policy_sync) {
   ++round_;
   round_started_ = node_.engine().now();
   restore_cleared_ = false;
-  window_committed_ = 0;
-  window_processed_ = 0;
+  window_ = {};
   RoundOpen open;
   for (const auto& hook : hooks_) hook->open_round(round_, open);
   plan_ = open.plan;
@@ -112,22 +110,15 @@ Process GvtAlgorithm::agent_fence_step() {
 }
 
 void GvtAlgorithm::contribute_window(WorkerCtx& worker) {
-  const auto& ks = worker.kernel.stats();
-  window_committed_ += ks.committed - worker.gvt.last_committed;
-  window_processed_ += (ks.committed - worker.gvt.last_committed) +
-                       (ks.rolled_back - worker.gvt.last_rolled_back);
-  worker.gvt.last_committed = ks.committed;
-  worker.gvt.last_rolled_back = ks.rolled_back;
+  window_ += worker.gvt.decided.take(worker.kernel.stats());
 }
 
-SyncTier GvtAlgorithm::decide(double gvt, std::uint64_t committed, std::uint64_t processed,
+SyncTier GvtAlgorithm::decide(double gvt, const DecidedEvents& window,
                               std::uint64_t queue_peak) {
-  efficiency_.update(committed, processed);
-  const double efficiency = efficiency_.value();
   // The policy is stateful (hysteresis, queue EWMA, escalation streak), so
   // it must see every round's window exactly once, in order.
-  const SyncTier next =
-      policy_ ? policy_->decide(efficiency, queue_peak).tier : SyncTier::kAsync;
+  const SyncTier next = policy_.decide(window, queue_peak);
+  const double efficiency = policy_.efficiency();
   node_.trace().gvt_computed(node_.rank(), round_, gvt, efficiency, queue_peak);
   const bool sync_next = next == SyncTier::kSync;
   if (sync_next != sync_) {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "cons/clamp.hpp"
 #include "core/config.hpp"
@@ -48,9 +47,10 @@ struct GvtAlgoStats {
 
 class GvtAlgorithm {
  public:
-  /// `adaptive` algorithms (CA-GVT, epoch) run the tiered trigger policy
-  /// of core/gvt_policy.hpp; the others always decide kAsync.
-  explicit GvtAlgorithm(NodeRuntime& node, bool adaptive = false);
+  /// The tier policy comes from the node's configuration
+  /// (core::tier_policy_from): the adaptive kinds run the tiered trigger
+  /// policy of core/gvt_policy.hpp, the others always decide kAsync.
+  explicit GvtAlgorithm(NodeRuntime& node);
   virtual ~GvtAlgorithm() = default;
   GvtAlgorithm(const GvtAlgorithm&) = delete;
   GvtAlgorithm& operator=(const GvtAlgorithm&) = delete;
@@ -99,7 +99,7 @@ class GvtAlgorithm {
   const cons::Clamp& clamp() const { return clamp_; }
 
   /// Smoothed global efficiency after the last decided round.
-  double last_global_efficiency() const { return efficiency_.value(); }
+  double last_global_efficiency() const { return policy_.efficiency(); }
 
  protected:
   // --- the round lifecycle shared by the coroutine algorithms -----------
@@ -150,14 +150,12 @@ class GvtAlgorithm {
   /// efficiency estimate low; windowing lets it track workload phases.
   void contribute_window(WorkerCtx& worker);
 
-  /// Decide the next round's tier from this round's reduced totals: fold
-  /// the decided-event window into the smoothed efficiency (the EWMA
-  /// shared with the thread backend's fence), step the policy, and trace
-  /// the computed GVT plus a mode switch when the decision flips the
+  /// Decide the next round's tier from this round's reduced totals with
+  /// the tier policy (the one the thread backend's fence also runs), and
+  /// trace the computed GVT plus a mode switch when the decision flips the
   /// round's synchrony. Called once per round per deciding rank: rank 0
   /// in the Mattern family, every rank in lockstep for epochs.
-  SyncTier decide(double gvt, std::uint64_t committed, std::uint64_t processed,
-                  std::uint64_t queue_peak);
+  SyncTier decide(double gvt, const DecidedEvents& window, std::uint64_t queue_peak);
   /// Adopt the tier the next round runs at and apply it to the execution
   /// clamp (cons::apply_tier), counting engagements.
   void apply_tier(SyncTier tier, double gvt);
@@ -183,16 +181,14 @@ class GvtAlgorithm {
   bool sync_ = false;
   metasim::SimTime round_started_ = 0;
   bool restore_cleared_ = false;  // first restorer reset the cut accounting
-  // Node totals of the round's decided-event window (contribute_window).
-  std::uint64_t window_committed_ = 0;
-  std::uint64_t window_processed_ = 0;
+  /// Node totals of the round's decided-event window (contribute_window).
+  DecidedEvents window_;
 
   /// Tier decided for the next round (apply_tier).
   SyncTier next_tier_ = SyncTier::kAsync;
 
  private:
-  EfficiencyEstimator efficiency_;
-  std::optional<CaTriggerPolicy> policy_;  // engaged for adaptive algorithms
+  TierPolicy policy_;
   cons::Clamp clamp_;
   obs::LazyCounter rounds_metric_;
   obs::LazyCounter sync_rounds_metric_;

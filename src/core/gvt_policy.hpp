@@ -10,8 +10,40 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+
+#include "pdes/stats.hpp"
 
 namespace cagvt::core {
+
+/// Events decided (committed or rolled back) over a GVT-round window — the
+/// efficiency estimator's input. Uncommitted history is undecided and
+/// excluded, which would otherwise bias the estimate low.
+struct DecidedEvents {
+  std::uint64_t committed = 0;
+  std::uint64_t processed = 0;  // committed + rolled back
+
+  DecidedEvents& operator+=(const DecidedEvents& o) {
+    committed += o.committed;
+    processed += o.processed;
+    return *this;
+  }
+};
+
+/// One worker's decided-event window: its kernel counters at the previous
+/// GVT contribution (both backends' contributions take it here).
+struct DecidedWindow {
+  std::uint64_t committed = 0;
+  std::uint64_t rolled_back = 0;
+
+  /// The events decided since the previous take; starts the next window.
+  DecidedEvents take(const pdes::KernelStats& stats) {
+    const std::uint64_t newly_committed = stats.committed - committed;
+    const DecidedEvents d{newly_committed, newly_committed + (stats.rolled_back - rolled_back)};
+    *this = {stats.committed, stats.rolled_back};
+    return d;
+  }
+};
 
 /// Exponentially smoothed estimate of the global simulation efficiency
 /// (committed / processed events per GVT-round window). The raw window
@@ -23,10 +55,10 @@ class EfficiencyEstimator {
  public:
   /// Fold in one round's decided-event window. No decided events = no
   /// evidence; the current estimate is kept.
-  void update(std::uint64_t committed, std::uint64_t processed) {
-    if (processed == 0) return;
-    const double window =
-        static_cast<double>(committed) / static_cast<double>(processed);
+  void update(const DecidedEvents& decided) {
+    if (decided.processed == 0) return;
+    const double window = static_cast<double>(decided.committed) /
+                          static_cast<double>(decided.processed);
     value_ = kAlpha * window + (1.0 - kAlpha) * value_;
   }
 
@@ -61,13 +93,14 @@ struct SyncDecision {
 /// wrapped in a tiered escalation state machine (DESIGN §13):
 ///
 ///   * Hysteresis: the trip and release conditions are asymmetric. A trip
-///     engages the policy; it only disengages after `calm_release`
+///     engages the policy; it only disengages after kCalmRelease
 ///     consecutive decisions in the calm band (efficiency above
-///     threshold + release_margin AND the queue EWMA below
+///     threshold + kReleaseMargin AND the queue EWMA below
 ///     queue_release_frac * queue_threshold). A single MPI burst therefore
 ///     cannot flip-flop the mode round to round.
-///   * Queue smoothing: the queue trigger compares an EWMA of the per-round
-///     peaks, not the raw peak, so one bursty round does not trip it.
+///   * Queue smoothing: the queue trigger compares an EWMA (weight
+///     kQueueAlpha) of the per-round peaks, not the raw peak, so one bursty
+///     round does not trip it.
 ///   * Deferred escalation: an engaged policy first answers with kThrottle
 ///     (clamp execution to GVT + C, keep rounds asynchronous); it escalates
 ///     to kSync only after `escalate_after` consecutive tripped decisions.
@@ -81,21 +114,22 @@ struct SyncDecision {
 /// rank 0 and broadcast the tier in the ring token.
 class CaTriggerPolicy {
  public:
+  /// Release only above threshold + margin (trip/release asymmetry).
+  static constexpr double kReleaseMargin = 0.05;
+  /// EWMA weight of the newest per-round queue peak.
+  static constexpr double kQueueAlpha = 0.5;
+  /// Consecutive calm decisions before an engaged policy releases.
+  static constexpr int kCalmRelease = 2;
+
   struct Config {
     double efficiency_threshold = 0.80;  // trip below this efficiency
-    /// Release only above threshold + margin (trip/release asymmetry).
-    double release_margin = 0.05;
     std::uint64_t queue_threshold = 16;  // trip when the queue EWMA exceeds
     /// Release only once the queue EWMA falls below this fraction of the
     /// threshold.
     double queue_release_frac = 0.5;
-    /// EWMA weight of the newest per-round queue peak.
-    double queue_alpha = 0.5;
     /// Consecutive tripped decisions before kThrottle escalates to kSync
     /// (0 = never escalate: throttle is the strongest answer).
     int escalate_after = 3;
-    /// Consecutive calm decisions before an engaged policy releases.
-    int calm_release = 2;
   };
 
   CaTriggerPolicy() = default;
@@ -111,8 +145,8 @@ class CaTriggerPolicy {
 
   /// Fold one round's measurements and return the tier for the next round.
   SyncDecision decide(double efficiency, std::uint64_t queue_peak) {
-    queue_ewma_ = cfg_.queue_alpha * static_cast<double>(queue_peak) +
-                  (1.0 - cfg_.queue_alpha) * queue_ewma_;
+    queue_ewma_ = kQueueAlpha * static_cast<double>(queue_peak) +
+                  (1.0 - kQueueAlpha) * queue_ewma_;
     SyncDecision d;
     d.tripped = trips(efficiency, queue_ewma_);
     if (d.tripped) {
@@ -123,11 +157,11 @@ class CaTriggerPolicy {
       bad_streak_ = 0;  // escalation requires CONSECUTIVE bad rounds
       if (engaged_) {
         const bool calm =
-            efficiency >= cfg_.efficiency_threshold + cfg_.release_margin &&
+            efficiency >= cfg_.efficiency_threshold + kReleaseMargin &&
             queue_ewma_ <= cfg_.queue_release_frac *
                                static_cast<double>(cfg_.queue_threshold);
         if (calm) {
-          if (++calm_streak_ >= cfg_.calm_release) {
+          if (++calm_streak_ >= kCalmRelease) {
             engaged_ = false;
             calm_streak_ = 0;
           }
@@ -157,6 +191,36 @@ class CaTriggerPolicy {
   bool engaged_ = false;     // tripped at some point, not yet released
   int bad_streak_ = 0;       // consecutive tripped decisions
   int calm_streak_ = 0;      // consecutive calm decisions while engaged
+};
+
+/// The adaptive-GVT tier policy of one deciding party, shared by both
+/// backends: GvtAlgorithm::decide (coroutine rank 0, or every epoch rank)
+/// and GvtFence::reduce (the threads backend's coordinator) each hold one.
+/// It smooths the round's decided-event window into the global efficiency
+/// and, for the adaptive kinds (CA-GVT, epoch), steps the tiered trigger
+/// policy on it; the other kinds always decide kAsync. Built from a
+/// configuration by core::tier_policy_from (core/config.hpp).
+class TierPolicy {
+ public:
+  TierPolicy() = default;
+  explicit TierPolicy(std::optional<CaTriggerPolicy> trigger) : trigger_(trigger) {}
+
+  /// Fold one round's decided-event window and MPI queue peak; return the
+  /// tier the next round runs at. Stateful: every round exactly once.
+  SyncTier decide(const DecidedEvents& window, std::uint64_t queue_peak) {
+    efficiency_.update(window);
+    return trigger_ ? trigger_->decide(efficiency_.value(), queue_peak).tier
+                    : SyncTier::kAsync;
+  }
+
+  /// Smoothed global efficiency after the last decided round.
+  double efficiency() const { return efficiency_.value(); }
+  /// The trigger policy; null for the non-adaptive kinds.
+  const CaTriggerPolicy* trigger() const { return trigger_ ? &*trigger_ : nullptr; }
+
+ private:
+  EfficiencyEstimator efficiency_;
+  std::optional<CaTriggerPolicy> trigger_;
 };
 
 inline const char* to_string(SyncTier tier) {

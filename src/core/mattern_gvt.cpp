@@ -38,8 +38,7 @@ void MatternGvt::finish_round() {
 void MatternGvt::fold_node_into(MatternToken& token) {
   token.min_lvt = std::min(token.min_lvt, node_min_lvt_);
   token.min_red = std::min(token.min_red, node_min_red_);
-  token.committed += window_committed_;
-  token.processed += window_processed_;
+  token.decided += window_;
   token.queue_peak = std::max(token.queue_peak, node_.take_mpi_queue_peak());
 }
 
@@ -66,7 +65,7 @@ Process MatternGvt::send_token(MatternToken token) {
 
 Process MatternGvt::complete_collect(MatternToken token) {
   token.gvt = std::min(token.min_lvt, token.min_red);
-  token.next_tier = decide(token.gvt, token.committed, token.processed, token.queue_peak);
+  token.next_tier = decide(token.gvt, token.decided, token.queue_peak);
   token.phase = MatternToken::Phase::kBroadcast;
   token.visits = 1;
   apply_broadcast(token);

@@ -42,8 +42,8 @@ namespace cagvt::core {
 
 class MatternGvt : public GvtAlgorithm {
  public:
-  explicit MatternGvt(NodeRuntime& node, bool adaptive = false)
-      : GvtAlgorithm(node, adaptive),
+  explicit MatternGvt(NodeRuntime& node)
+      : GvtAlgorithm(node),
         cm_mutex_(node.engine(), node.cfg().cluster.lock_acquire,
                   node.cfg().cluster.lock_handoff) {}
 

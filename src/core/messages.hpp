@@ -28,8 +28,7 @@ struct MatternToken {
   // kCollect accumulators.
   double min_lvt = std::numeric_limits<double>::infinity();
   double min_red = std::numeric_limits<double>::infinity();
-  std::uint64_t committed = 0;  // round-window decided events (CA-GVT)
-  std::uint64_t processed = 0;
+  DecidedEvents decided;  // round-window decided events (CA-GVT)
   /// Peak MPI queue occupancy observed since the last round (CA-GVT's
   /// second synchrony trigger — paper Section 8).
   std::uint64_t queue_peak = 0;

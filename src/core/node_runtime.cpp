@@ -66,67 +66,58 @@ Process NodeCollectives::barrier_agent() {
 // NodeRuntime
 // ---------------------------------------------------------------------------
 
-NodeRuntime::NodeRuntime(metasim::Engine& engine, Fabric& fabric, const SimulationConfig& cfg,
-                         const pdes::LpMap& map, pdes::OwnerTable& owners,
-                         const pdes::Model& model, int node_id, ClusterProfiler& profiler,
-                         obs::TraceRecorder& trace, obs::MetricsRegistry& metrics,
-                         const fault::FaultEngine* faults, const RoundHooks& hooks)
-    : engine_(engine),
-      fabric_(fabric),
-      cfg_(cfg),
-      map_(map),
-      owners_(owners),
-      model_(model),
+NodeRuntime::NodeRuntime(const ClusterServices& cluster, int node_id)
+    : cluster_(cluster),
       node_id_(node_id),
-      profiler_(profiler),
-      trace_(trace),
-      metrics_(metrics),
-      faults_(faults),
-      hooks_(hooks),
-      regional_msgs_metric_(metrics.counter("net.regional_msgs")),
-      remote_msgs_metric_(metrics.counter("net.remote_msgs")),
-      mpi_outbox_(engine, cfg.cluster),
-      mpi_lock_(engine, cfg.cluster.lock_acquire, cfg.cluster.lock_handoff),
-      collectives_(engine, fabric, node_id,
-                   cfg.workers_per_node() + (cfg.has_dedicated_mpi() ? 1 : 0),
-                   cfg.cluster.pthread_barrier_cost(cfg.threads_per_node)) {
+      regional_msgs_metric_(cluster.metrics.counter("net.regional_msgs")),
+      remote_msgs_metric_(cluster.metrics.counter("net.remote_msgs")),
+      mpi_outbox_(cluster.engine, cluster.cfg.cluster),
+      mpi_lock_(cluster.engine, cluster.cfg.cluster.lock_acquire,
+                cluster.cfg.cluster.lock_handoff),
+      collectives_(cluster.engine, cluster.fabric, node_id,
+                   cluster.cfg.workers_per_node() + (cluster.cfg.has_dedicated_mpi() ? 1 : 0),
+                   cluster.cfg.cluster.pthread_barrier_cost(cluster.cfg.threads_per_node)) {
+  const SimulationConfig& cfg = cluster.cfg;
   const pdes::KernelConfig kcfg{.end_vt = cfg.end_vt,
                                 .seed = cfg.seed,
                                 .dynamic_placement = cfg.lb.enabled(),
                                 .cancelback = cfg.flow.enabled()};
   for (int w = 0; w < cfg.workers_per_node(); ++w) {
     const bool duty = !cfg.has_dedicated_mpi() && w == 0;
-    workers_.push_back(std::make_unique<WorkerCtx>(*this, engine, cfg.cluster, model, map,
-                                                   map.global_worker(node_id, w), kcfg, duty));
+    workers_.push_back(std::make_unique<WorkerCtx>(*this, cluster.engine, cfg.cluster,
+                                                   cluster.model, cluster.map,
+                                                   cluster.map.global_worker(node_id, w), kcfg,
+                                                   duty));
     workers_.back()->kernel.set_observability(
-        &trace_, metrics_.histogram("kernel.rollback_depth", 0, 64, 16), node_id, w);
+        &cluster.trace, cluster.metrics.histogram("kernel.rollback_depth", 0, 64, 16), node_id,
+        w);
   }
-  for (const auto& hook : hooks_)
+  for (const auto& hook : cluster.hooks)
     if (hook->in_worker_loop()) loop_hooks_.push_back(hook.get());
 }
 
 void NodeRuntime::start() {
-  gvt_ = make_gvt(cfg_.gvt, *this);
+  gvt_ = make_gvt(cfg().gvt, *this);
   // The window executor's advance is only safe against a fully drained
   // reduction — force every round synchronous regardless of --gvt kind.
-  if (cfg_.sync.kind == cons::SyncKind::kWindow) gvt_->set_always_sync();
+  if (cfg().sync.kind == cons::SyncKind::kWindow) gvt_->set_always_sync();
   for (auto& worker : workers_) {
     worker->kernel.init();
-    for (const auto& hook : hooks_) hook->attach(*worker);
-    spawn(engine_, worker_main(*worker));
+    for (const auto& hook : hooks()) hook->attach(*worker);
+    spawn(engine(), worker_main(*worker));
   }
-  if (cfg_.has_dedicated_mpi()) spawn(engine_, mpi_main());
+  if (cfg().has_dedicated_mpi()) spawn(engine(), mpi_main());
 }
 
 std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_t round) {
-  profiler_.record_lvt(round, worker.kernel.local_min_ts());
-  for (const auto& hook : hooks_) hook->adopt(round, worker, gvt);
-  if (node_id_ == 0 && worker.index_in_node == 0) profiler_.record_gvt(gvt);
+  profiler().record_lvt(round, worker.kernel.local_min_ts());
+  for (const auto& hook : hooks()) hook->adopt(round, worker, gvt);
+  if (node_id_ == 0 && worker.index_in_node == 0) profiler().record_gvt(gvt);
   // Round-sampled pool peak (cheap, always on): captured before fossil
   // collection frees history, so the peak reflects the round's high-water.
   worker.kernel.sample_pool_peak();
   const std::uint64_t committed = worker.kernel.fossil_collect(gvt);
-  if (gvt > cfg_.end_vt && !stop_) {
+  if (gvt > cfg().end_vt && !stop_) {
     stop_ = true;
     final_gvt_ = gvt;
   }
@@ -136,21 +127,21 @@ std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_
 Process NodeRuntime::worker_main(WorkerCtx& worker) {
   std::vector<pdes::Event> hook_out;
   while (!stop_ || !gvt_->worker_done(worker)) {
-    if (faults_ != nullptr && faults_->node_down(node_id_)) {
+    if (cluster_.faults != nullptr && cluster_.faults->node_down(node_id_)) {
       co_await halt_if_down();
       continue;
     }
     bool did_work = false;
-    if (worker.mpi_duty && cfg_.mpi == MpiPlacement::kCombined &&
-        worker.iterations % static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period) == 0)
+    if (worker.mpi_duty && cfg().mpi == MpiPlacement::kCombined &&
+        worker.iterations % static_cast<std::uint64_t>(cfg().combined_mpi_poll_period) == 0)
       co_await mpi_progress(&did_work);
-    if (cfg_.mpi == MpiPlacement::kEverywhere)
+    if (cfg().mpi == MpiPlacement::kEverywhere)
       co_await receive_arrivals(worker.index_in_node, &did_work);
 
     if (!gvt_->worker_held(worker)) {
       co_await drain_inboxes(worker, &did_work);
       int processed = 0;
-      for (int b = 0; b < cfg_.batch; ++b) {
+      for (int b = 0; b < cfg().batch; ++b) {
         // Execution horizon: the tightest of the adaptive GVT policy's
         // throttle tier, the conservative window (--sync) and the flow
         // throttle clamp (--flow); infinity = free-running. Read before
@@ -176,7 +167,7 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
       for (RoundHook* hook : loop_hooks_) {
         hook->batch_release(worker, hook_out);
         for (pdes::Event& event : hook_out) {
-          if (owners_.worker_of(event.dst_lp) == worker.global_worker) {
+          if (cluster_.owners.worker_of(event.dst_lp) == worker.global_worker) {
             // The destination LP migrated onto this worker while the event
             // was held: deposit directly (send_event forbids self-sends).
             co_await handle_outcome(worker, worker.kernel.deposit(event));
@@ -193,37 +184,37 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
     ++worker.gvt.iters_since_round;
     if (worker.mpi_duty) co_await gvt_->agent_tick(&worker);
     co_await gvt_->worker_tick(worker);
-    if (!did_work) co_await delay(cpu(cfg_.cluster.idle_poll));
+    if (!did_work) co_await delay(cpu(cfg().cluster.idle_poll));
   }
 }
 
 Process NodeRuntime::mpi_main() {
   while (!stop_ || !gvt_->agent_done()) {
-    if (faults_ != nullptr && faults_->node_down(node_id_)) {
+    if (cluster_.faults != nullptr && cluster_.faults->node_down(node_id_)) {
       co_await halt_if_down();
       continue;
     }
     bool did_work = false;
     co_await mpi_progress(&did_work);
     co_await gvt_->agent_tick(nullptr);
-    if (!did_work) co_await delay(cpu(cfg_.cluster.mpi_poll));
+    if (!did_work) co_await delay(cpu(cfg().cluster.mpi_poll));
   }
 }
 
 Process NodeRuntime::halt_if_down() {
   // The node crashed: freeze until the restart instant. Back-to-back crash
   // windows re-enter here via the caller's loop.
-  const SimTime until = faults_->node_restart_at(node_id_);
-  if (until > engine_.now()) co_await delay(until - engine_.now());
+  const SimTime until = cluster_.faults->node_restart_at(node_id_);
+  if (until > engine().now()) co_await delay(until - engine().now());
 }
 
 Process NodeRuntime::stall_if_faulted() {
   // Repeat after waking: a pulse train (period > 0) may open the next pulse
   // exactly where the previous one ended.
   while (true) {
-    const SimTime until = faults_->mpi_stall_until(node_id_);
-    if (until <= engine_.now()) co_return;
-    co_await delay(until - engine_.now());
+    const SimTime until = cluster_.faults->mpi_stall_until(node_id_);
+    if (until <= engine().now()) co_return;
+    co_await delay(until - engine().now());
   }
 }
 
@@ -231,10 +222,10 @@ Process NodeRuntime::mpi_progress(bool* did_work) {
   // A stalled MPI agent makes no progress at all until the pulse ends —
   // the paper's motivation for bounding asynchrony: stale tokens hold GVT
   // (and fossil collection) back cluster-wide.
-  if (faults_ != nullptr) co_await stall_if_faulted();
-  const auto& spec = cfg_.cluster;
+  if (cluster_.faults != nullptr) co_await stall_if_faulted();
+  const auto& spec = cfg().cluster;
   const std::uint64_t occupancy =
-      mpi_outbox_.items.size() + fabric_.inbox(node_id_).size();
+      mpi_outbox_.items.size() + fabric().inbox(node_id_).size();
   if (occupancy > mpi_queue_peak_) mpi_queue_peak_ = occupancy;
   // Drain the node's outbox onto the wire, one message at a time (the
   // paper's ROSS posts sends individually).
@@ -248,7 +239,7 @@ Process NodeRuntime::mpi_progress(bool* did_work) {
     mpi_outbox_.items.pop_front();
     co_await delay(cpu(spec.shm_copy));
     mpi_outbox_.mutex.unlock();
-    co_await fabric_.isend(node_id_, owners_.node_of(pdes::route_lp(event)),
+    co_await fabric().isend(node_id_, cluster_.owners.node_of(pdes::route_lp(event)),
                            spec.event_msg_bytes, NetMsg{event});
     *did_work = true;
   }
@@ -256,14 +247,14 @@ Process NodeRuntime::mpi_progress(bool* did_work) {
 }
 
 Process NodeRuntime::receive_arrivals(int trace_worker, bool* did_work) {
-  const auto& spec = cfg_.cluster;
+  const auto& spec = cfg().cluster;
   // In the kEverywhere placement every worker consumes the same inbox
   // concurrently, so pops must serialize under the node MPI lock or
   // per-pair delivery order breaks.
-  const bool shared_inbox = cfg_.mpi == MpiPlacement::kEverywhere;
-  while (!fabric_.inbox(node_id_).empty()) {
+  const bool shared_inbox = cfg().mpi == MpiPlacement::kEverywhere;
+  while (!fabric().inbox(node_id_).empty()) {
     if (shared_inbox) co_await mpi_lock_.lock();
-    auto msg = fabric_.inbox(node_id_).try_recv();
+    auto msg = fabric().inbox(node_id_).try_recv();
     if (!msg) {
       if (shared_inbox) mpi_lock_.unlock();
       break;
@@ -277,19 +268,19 @@ Process NodeRuntime::receive_arrivals(int trace_worker, bool* did_work) {
     if (shared_inbox) mpi_lock_.unlock();
     *did_work = true;
     if (const auto* event = std::get_if<pdes::Event>(&*msg)) {
-      trace_.mpi_recv(node_id_, trace_worker, "event");
+      trace().mpi_recv(node_id_, trace_worker, "event");
       // The destination LP may have migrated off this node while the
       // message was in flight; re-send toward the current owner. The
       // original send is still the only counted send — the receive is
       // counted when the final worker drains it, so GVT transit counting
       // stays balanced across any number of forwarding hops.
       const pdes::LpId route = pdes::route_lp(*event);
-      const int owner_node = owners_.node_of(route);
+      const int owner_node = cluster_.owners.node_of(route);
       if (owner_node != node_id_) {
-        CAGVT_CHECK_MSG(event->epoch < owners_.version(),
+        CAGVT_CHECK_MSG(event->epoch < cluster_.owners.version(),
                         "event misrouted within its own epoch");
-        for (const auto& hook : hooks_) hook->note_forward();
-        co_await fabric_.isend(node_id_, owner_node, spec.event_msg_bytes, NetMsg{*event});
+        for (const auto& hook : hooks()) hook->note_forward();
+        co_await fabric().isend(node_id_, owner_node, spec.event_msg_bytes, NetMsg{*event});
         continue;
       }
       // Always route through the destination's remote inbox — even for an
@@ -297,10 +288,10 @@ Process NodeRuntime::receive_arrivals(int trace_worker, bool* did_work) {
       // overtake another worker's still-in-flight delivery of an EARLIER
       // message for the same destination, breaking the per-pair FIFO order
       // annihilation depends on.
-      WorkerCtx& dest = *workers_[static_cast<std::size_t>(owners_.worker_in_node(route))];
+      WorkerCtx& dest = *workers_[static_cast<std::size_t>(cluster_.owners.worker_in_node(route))];
       co_await deliver_to_worker(dest, *event);
     } else {
-      trace_.mpi_recv(node_id_, trace_worker, "control");
+      trace().mpi_recv(node_id_, trace_worker, "control");
       gvt_->on_token(std::get<MatternToken>(*msg));
     }
   }
@@ -308,14 +299,14 @@ Process NodeRuntime::receive_arrivals(int trace_worker, bool* did_work) {
 
 Process NodeRuntime::deliver_to_worker(WorkerCtx& dest, pdes::Event event) {
   co_await dest.remote_in.mutex.lock();
-  co_await delay(cpu(cfg_.cluster.shm_copy));
+  co_await delay(cpu(cfg().cluster.shm_copy));
   dest.remote_in.items.push_back(event);
   ++dest.remote_in.total_enqueued;
   dest.remote_in.mutex.unlock();
 }
 
 Process NodeRuntime::drain_inboxes(WorkerCtx& worker, bool* did_work) {
-  const auto& spec = cfg_.cluster;
+  const auto& spec = cfg().cluster;
   for (SharedQueue* queue : {&worker.regional_in, &worker.remote_in}) {
     if (queue->items.empty()) continue;  // cheap unsynchronized peek
     std::vector<pdes::Event> batch;
@@ -336,7 +327,7 @@ Process NodeRuntime::drain_inboxes(WorkerCtx& worker, bool* did_work) {
 }
 
 Process NodeRuntime::read_messages_deferred(WorkerCtx& worker) {
-  const auto& spec = cfg_.cluster;
+  const auto& spec = cfg().cluster;
   for (SharedQueue* queue : {&worker.regional_in, &worker.remote_in}) {
     if (queue->items.empty()) continue;
     co_await queue->mutex.lock();
@@ -365,18 +356,18 @@ Process NodeRuntime::dispatch_received(WorkerCtx& worker, const pdes::Event& eve
   if (event.kind != pdes::MsgKind::kEvent) {
     // Cancelbacks and conservative control messages are consumed by their
     // controller, never deposited into a kernel.
-    for (const auto& hook : hooks_)
+    for (const auto& hook : hooks())
       if (hook->consume(worker, event)) co_return;
     CAGVT_CHECK_MSG(false, "no controller consumes a received message kind");
   }
-  if (owners_.worker_of(event.dst_lp) != worker.global_worker) {
+  if (cluster_.owners.worker_of(event.dst_lp) != worker.global_worker) {
     // Delivered (or read, in a synchronous round) before a migration fence
     // moved the destination LP away. Re-send: the forward is a fresh
     // counted send (the matching receive happens at the new owner), and
     // its receive-time stamp is >= the adopted GVT, so transit counting,
     // min-red accounting and the next round's bound stay exact.
-    CAGVT_CHECK_MSG(event.epoch < owners_.version(), "event misrouted within its own epoch");
-    for (const auto& hook : hooks_) hook->note_forward();
+    CAGVT_CHECK_MSG(event.epoch < cluster_.owners.version(), "event misrouted within its own epoch");
+    for (const auto& hook : hooks()) hook->note_forward();
     co_await send_event(worker, event);
     co_return;
   }
@@ -396,18 +387,18 @@ double NodeRuntime::worker_min_ts(WorkerCtx& worker) {
       lowest = event.recv_ts;
   // Events a hook holds (flow's parked cancelbacks) bound GVT too: their
   // re-delivery must never be overrun by a round.
-  for (const auto& hook : worker.node.hooks_)
+  for (const auto& hook : worker.node.hooks())
     lowest = std::min(lowest, hook->min_ts(worker.global_worker));
   return lowest;
 }
 
 Process NodeRuntime::handle_outcome(WorkerCtx& worker, pdes::Outcome outcome) {
-  const auto& spec = cfg_.cluster;
+  const auto& spec = cfg().cluster;
   SimTime cost = 0;
   if (outcome.processed) {
     cost += static_cast<SimTime>(outcome.cost_units * spec.ns_per_epg_unit) +
             spec.event_overhead;
-    if (!model_.supports_reverse()) cost += spec.state_save_cost;
+    if (!cluster_.model.supports_reverse()) cost += spec.state_save_cost;
   }
   cost += spec.rollback_per_event * outcome.rolled_back;
   cost += spec.antimessage_overhead * outcome.antimessages;
@@ -416,25 +407,25 @@ Process NodeRuntime::handle_outcome(WorkerCtx& worker, pdes::Outcome outcome) {
 }
 
 Process NodeRuntime::send_event(WorkerCtx& worker, pdes::Event event) {
-  const auto& spec = cfg_.cluster;
+  const auto& spec = cfg().cluster;
   // An anti-message whose positive twin is parked right here (cancelled
   // back and not yet re-released) annihilates in place: neither half is
   // ever sent, so no counting happens for either.
   if (event.anti)
-    for (const auto& hook : hooks_)
+    for (const auto& hook : hooks())
       if (hook->absorb_anti(worker.global_worker, event)) co_return;
-  event.epoch = owners_.version();
+  event.epoch = cluster_.owners.version();
   ++worker.gvt.msgs_sent;
   gvt_->on_send(worker, event);  // stamps the colour, updates counters
 
   // Cancelbacks travel to the SOURCE worker of the event they carry; all
   // other messages to the destination LP's owner.
   const pdes::LpId route = pdes::route_lp(event);
-  const int dest_node = owners_.node_of(route);
+  const int dest_node = cluster_.owners.node_of(route);
   if (dest_node == node_id_) {
     ++regional_msgs_;
     regional_msgs_metric_.inc();
-    WorkerCtx& dest = *workers_[static_cast<std::size_t>(owners_.worker_in_node(route))];
+    WorkerCtx& dest = *workers_[static_cast<std::size_t>(cluster_.owners.worker_in_node(route))];
     CAGVT_ASSERT(&dest != &worker);  // same-thread events never reach here
     co_await dest.regional_in.mutex.lock();
     co_await delay(cpu(spec.shm_copy));
@@ -446,14 +437,14 @@ Process NodeRuntime::send_event(WorkerCtx& worker, pdes::Event event) {
 
   ++remote_msgs_;
   remote_msgs_metric_.inc();
-  if (cfg_.mpi == MpiPlacement::kEverywhere) {
+  if (cfg().mpi == MpiPlacement::kEverywhere) {
     // Threaded MPI: every worker calls into the MPI library itself,
     // serialized by the node-wide lock and paying the multi-threaded
     // call penalty — the contention of [2].
     co_await mpi_lock_.lock();
     co_await delay(cpu(static_cast<SimTime>(static_cast<double>(spec.mpi_send_cpu) *
                                             (spec.threaded_mpi_penalty - 1.0))));
-    co_await fabric_.isend(node_id_, dest_node, spec.event_msg_bytes, NetMsg{event});
+    co_await fabric().isend(node_id_, dest_node, spec.event_msg_bytes, NetMsg{event});
     mpi_lock_.unlock();
     co_return;
   }
@@ -467,7 +458,7 @@ Process NodeRuntime::send_event(WorkerCtx& worker, pdes::Event event) {
 void NodeRuntime::restore_transport(std::uint32_t epoch,
                                     const net::TransportSnapshot& snapshot) {
   CAGVT_CHECK_MSG(mpi_outbox_.items.empty(), "restore cut not quiesced (mpi outbox)");
-  fabric_.restore_transport(node_id_, epoch, snapshot);
+  fabric().restore_transport(node_id_, epoch, snapshot);
 }
 
 pdes::KernelStats NodeRuntime::aggregate_kernel_stats() const {

@@ -54,10 +54,9 @@ struct GvtThreadState {
   /// Epoch GVT: the pipelined epoch this worker has joined (its sends are
   /// tagged epoch % 3 — see core/epoch_gvt.hpp).
   std::uint64_t epoch = 0;
-  // Snapshot of the decided-event counters at the previous contribution,
-  // for the windowed efficiency estimate CA-GVT adapts on.
-  std::uint64_t last_committed = 0;
-  std::uint64_t last_rolled_back = 0;
+  /// Decided-event window since the previous contribution, for the
+  /// windowed efficiency estimate CA-GVT adapts on.
+  DecidedWindow decided;
 };
 
 struct WorkerCtx {
@@ -172,47 +171,58 @@ class ClusterProfiler {
   std::vector<double> gvt_trace_;
 };
 
+/// What every node of one simulated cluster shares, built once per run
+/// (Simulation::run) and handed to each NodeRuntime and to the controller
+/// factory.
+struct ClusterServices {
+  metasim::Engine& engine;
+  Fabric& fabric;
+  const SimulationConfig& cfg;
+  const pdes::LpMap& map;
+  /// The dynamic owner table every routing decision goes through (the
+  /// identity overlay when migration is off).
+  pdes::OwnerTable& owners;
+  const pdes::Model& model;
+  ClusterProfiler& profiler;
+  /// Always valid objects; disabled instances ignore every call.
+  obs::TraceRecorder& trace;
+  obs::MetricsRegistry& metrics;
+  /// Null on a healthy cluster; when set, every CPU cost a node charges is
+  /// scaled by its straggler factor and MPI agents honor stall pulses.
+  const fault::FaultEngine* faults;
+  /// The run's enabled controllers, in call order (core/round_hook.hpp).
+  RoundHooks hooks;
+};
+
 class NodeRuntime {
  public:
-  /// `faults` may be null (healthy cluster); when set, every CPU cost the
-  /// node charges is scaled by the node's straggler factor and the MPI
-  /// agent honors stall pulses. `owners` is the cluster-wide dynamic owner
-  /// table every routing decision goes through (the identity overlay when
-  /// migration is off). `hooks` are the run's enabled controllers, in call
-  /// order (see core/round_hook.hpp).
-  NodeRuntime(metasim::Engine& engine, Fabric& fabric, const SimulationConfig& cfg,
-              const pdes::LpMap& map, pdes::OwnerTable& owners, const pdes::Model& model,
-              int node_id, ClusterProfiler& profiler, obs::TraceRecorder& trace,
-              obs::MetricsRegistry& metrics, const fault::FaultEngine* faults,
-              const RoundHooks& hooks);
+  NodeRuntime(const ClusterServices& cluster, int node_id);
 
   /// Initialize kernels, attach them to the hooks, and spawn this node's
   /// thread coroutines.
   void start();
 
   // --- accessors for the GVT algorithms ---------------------------------
-  metasim::Engine& engine() { return engine_; }
-  Fabric& fabric() { return fabric_; }
+  metasim::Engine& engine() { return cluster_.engine; }
+  Fabric& fabric() { return cluster_.fabric; }
   int rank() const { return node_id_; }
-  const SimulationConfig& cfg() const { return cfg_; }
-  const pdes::LpMap& map() const { return map_; }
+  const SimulationConfig& cfg() const { return cluster_.cfg; }
+  const pdes::LpMap& map() const { return cluster_.map; }
   NodeCollectives& collectives() { return collectives_; }
   std::vector<std::unique_ptr<WorkerCtx>>& workers() { return workers_; }
-  ClusterProfiler& profiler() { return profiler_; }
+  ClusterProfiler& profiler() { return cluster_.profiler; }
   GvtAlgorithm& gvt() { return *gvt_; }
-  /// Trace recorder / metrics registry for the GVT algorithms' hooks
-  /// (always valid objects; disabled instances ignore every call).
-  obs::TraceRecorder& trace() { return trace_; }
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const RoundHooks& hooks() const { return hooks_; }
-  const pdes::OwnerTable& owners() const { return owners_; }
+  obs::TraceRecorder& trace() { return cluster_.trace; }
+  obs::MetricsRegistry& metrics() { return cluster_.metrics; }
+  const RoundHooks& hooks() const { return cluster_.hooks; }
+  const pdes::OwnerTable& owners() const { return cluster_.owners; }
 
   /// All simulated CPU time this node charges funnels through here so a
   /// straggler window slows every activity uniformly (EPG, queue copies,
   /// MPI packing, polling) — the model of a thermally throttled / noisy
   /// KNL node.
   metasim::SimTime cpu(metasim::SimTime base) const {
-    return faults_ == nullptr ? base : faults_->scale_cpu(node_id_, base);
+    return cluster_.faults == nullptr ? base : cluster_.faults->scale_cpu(node_id_, base);
   }
 
   /// A worker adopts a freshly computed GVT: fossil-collect, record the
@@ -294,18 +304,8 @@ class NodeRuntime {
   /// deposited.
   metasim::Process dispatch_received(WorkerCtx& worker, const pdes::Event& event);
 
-  metasim::Engine& engine_;
-  Fabric& fabric_;
-  const SimulationConfig& cfg_;
-  const pdes::LpMap& map_;
-  pdes::OwnerTable& owners_;
-  const pdes::Model& model_;
+  const ClusterServices& cluster_;
   int node_id_;
-  ClusterProfiler& profiler_;
-  obs::TraceRecorder& trace_;
-  obs::MetricsRegistry& metrics_;
-  const fault::FaultEngine* faults_;
-  const RoundHooks& hooks_;
   /// The hooks inside the worker loop (RoundHook::in_worker_loop).
   std::vector<RoundHook*> loop_hooks_;
   obs::CounterHandle regional_msgs_metric_;

@@ -188,8 +188,7 @@ Process RecoveryManager::restore(WorkerCtx& worker, std::uint64_t round) {
   worker.gvt.msgs_sent = 0;
   worker.gvt.msgs_recv = 0;
   worker.gvt.min_red = pdes::kVtInfinity;
-  worker.gvt.last_committed = snap.kernel.stats.committed;
-  worker.gvt.last_rolled_back = snap.kernel.stats.rolled_back;
+  worker.gvt.decided = {snap.kernel.stats.committed, snap.kernel.stats.rolled_back};
   node.trace().restore(node.rank(), worker.index_in_node, round, ckpt.round, ckpt.gvt,
                        snap.bytes());
   int& done = restore_workers_done_[static_cast<std::size_t>(node.rank())];

@@ -17,10 +17,8 @@ namespace {
 /// The run's controllers, each only when enabled: a disabled subsystem is
 /// never touched (lb registers its metrics at construction). The order is
 /// the call order — recovery plans a round before lb commits moves to it.
-RoundHooks make_round_hooks(const SimulationConfig& cfg, const pdes::LpMap& map,
-                            const pdes::Model& model, pdes::OwnerTable& owners,
-                            metasim::Engine& engine, obs::MetricsRegistry& metrics,
-                            obs::TraceRecorder& trace, const fault::FaultEngine* faults) {
+RoundHooks make_round_hooks(const ClusterServices& cluster) {
+  const SimulationConfig& cfg = cluster.cfg;
   RoundHooks hooks;
   // Recovery: checkpoints are requested or a crash is scheduled (a crash
   // always has the initial checkpoint to rewind to).
@@ -28,22 +26,23 @@ RoundHooks make_round_hooks(const SimulationConfig& cfg, const pdes::LpMap& map,
   for (const auto& spec : cfg.faults)
     if (spec.kind == fault::FaultKind::kCrash) has_crash = true;
   if (cfg.ckpt_every > 0 || has_crash) {
-    auto recovery = std::make_unique<RecoveryManager>(cfg, engine, &metrics);
+    auto recovery = std::make_unique<RecoveryManager>(cfg, cluster.engine, &cluster.metrics);
     // Checkpoints must capture (and restores rewind) LP placement whenever
     // the owner table can change under migration.
-    if (cfg.lb.enabled()) recovery->set_owner_table(&owners);
+    if (cfg.lb.enabled()) recovery->set_owner_table(&cluster.owners);
     hooks.push_back(std::move(recovery));
   }
   // Conservative synchronization rejects models without a positive
   // lookahead here, before any coroutine starts.
   if (cfg.sync.enabled())
-    hooks.push_back(
-        std::make_unique<cons::Controller>(cfg.sync, map, model.lookahead(), cfg.end_vt));
+    hooks.push_back(std::make_unique<cons::Controller>(cfg.sync, cluster.map,
+                                                       cluster.model.lookahead(), cfg.end_vt));
   if (cfg.lb.enabled())
-    hooks.push_back(std::make_unique<lb::Controller>(cfg.lb, owners, metrics, &trace));
+    hooks.push_back(std::make_unique<lb::Controller>(cfg.lb, cluster.owners, cluster.metrics,
+                                                     &cluster.trace));
   if (cfg.flow.enabled())
     hooks.push_back(std::make_unique<flow::Controller>(
-        cfg.flow, cfg.nodes * cfg.workers_per_node(), faults, &trace));
+        cfg.flow, cfg.nodes * cfg.workers_per_node(), cluster.faults, &cluster.trace));
   return hooks;
 }
 
@@ -101,16 +100,15 @@ SimulationResult Simulation::run(double max_wall_seconds) {
   if (faults != nullptr && faults->needs_reliable_transport())
     fabric.enable_reliable(cfg_.fault_seed);
 
-  const RoundHooks hooks =
-      make_round_hooks(cfg_, map, model_, owners, engine, *metrics, *trace, faults.get());
+  ClusterServices cluster{.engine = engine, .fabric = fabric, .cfg = cfg_, .map = map,
+                          .owners = owners, .model = model_, .profiler = profiler,
+                          .trace = *trace, .metrics = *metrics, .faults = faults.get(),
+                          .hooks = {}};
+  cluster.hooks = make_round_hooks(cluster);
 
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
   nodes.reserve(static_cast<std::size_t>(cfg_.nodes));
-  for (int n = 0; n < cfg_.nodes; ++n) {
-    nodes.push_back(std::make_unique<NodeRuntime>(
-        engine, fabric, cfg_, map, owners, model_, n, profiler, *trace, *metrics,
-        faults.get(), hooks));
-  }
+  for (int n = 0; n < cfg_.nodes; ++n) nodes.push_back(std::make_unique<NodeRuntime>(cluster, n));
   for (auto& node : nodes) node->start();
 
   engine.run(metasim::seconds(max_wall_seconds));
@@ -169,7 +167,7 @@ SimulationResult Simulation::run(double max_wall_seconds) {
   }
   result.owner_table_version = owners.version();
   result.peak_event_pool = result.events.pool_peak;
-  for (const auto& hook : hooks) hook->report(result, *metrics);
+  for (const auto& hook : cluster.hooks) hook->report(result, *metrics);
 
   // Detach the engine-bound clock (the engine dies with this frame) and
   // mirror the headline results into the registry so a single metrics CSV

@@ -1,22 +1,21 @@
 #include "exec/gvt_fence.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace cagvt::exec {
 
 GvtFence::GvtFence(int parties, double end_vt, std::atomic<std::int64_t>& in_flight,
-                   std::function<bool()> out_of_time, core::CaTriggerPolicy policy,
-                   bool adaptive)
+                   std::function<bool()> out_of_time, core::TierPolicy policy)
     : parties_(parties),
       end_vt_(end_vt),
       in_flight_(in_flight),
       out_of_time_(std::move(out_of_time)),
       barrier_(parties),
       slots_(static_cast<std::size_t>(parties)),
-      policy_(policy),
-      adaptive_(adaptive) {
+      policy_(std::move(policy)) {
   CAGVT_CHECK(parties >= 1);
 }
 
@@ -67,18 +66,13 @@ void GvtFence::reduce() {
   FenceContribution total;
   for (const Slot& slot : slots_) {
     total.min_ts = std::min(total.min_ts, slot.value.min_ts);
-    total.committed_delta += slot.value.committed_delta;
-    total.processed_delta += slot.value.processed_delta;
+    total.decided += slot.value.decided;
   }
-  estimator_.update(total.committed_delta, total.processed_delta);
-  efficiency_.store(estimator_.value(), std::memory_order_release);
-
   // Throttle-first adaptive tiering (CA-GVT and epoch kinds): the shared
   // stateful policy decides the NEXT round's tier from the smoothed
   // efficiency and the entry backlog. Workers read it at adoption (clamp)
   // and the initiator reads it in maybe_announce (cadence).
-  core::SyncTier tier = core::SyncTier::kAsync;
-  if (adaptive_) tier = policy_.decide(estimator_.value(), entry_backlog_).tier;
+  const core::SyncTier tier = policy_.decide(total.decided, entry_backlog_);
   tier_.store(static_cast<std::uint8_t>(tier), std::memory_order_release);
   if (tier == core::SyncTier::kThrottle) ++throttle_rounds_;
 

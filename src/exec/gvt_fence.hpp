@@ -52,8 +52,7 @@ namespace cagvt::exec {
 /// (nothing pending, no events decided).
 struct FenceContribution {
   double min_ts = std::numeric_limits<double>::infinity();
-  std::uint64_t committed_delta = 0;
-  std::uint64_t processed_delta = 0;
+  core::DecidedEvents decided;  // the party's decided-event window
 };
 
 /// What every party leaves a round with.
@@ -68,16 +67,13 @@ class GvtFence {
   /// deposited into a kernel (owned by ThreadEngine, which maintains the
   /// increment-before-push / decrement-after-deposit discipline).
   /// `out_of_time` is polled once per round by the coordinator; returning
-  /// true stops the run incomplete. `policy` is the CA trigger policy
-  /// (hysteresis, EWMA queue peak, deferred escalation — shared semantics
-  /// with the coroutine backend via core/gvt_policy.hpp); it only runs when
-  /// `adaptive` is set (CA-GVT and epoch kinds), and it is coordinator-owned
-  /// state: party 0 steps it once per round inside reduce(), publishing the
-  /// next round's tier through tier().
+  /// true stops the run incomplete. `policy` is the tier policy
+  /// (core::tier_policy_from — the one GvtAlgorithm::decide runs on the
+  /// coroutine backend); it is coordinator-owned state: party 0 steps it
+  /// once per round inside reduce(), publishing the next round's tier
+  /// through tier().
   GvtFence(int parties, double end_vt, std::atomic<std::int64_t>& in_flight,
-           std::function<bool()> out_of_time,
-           core::CaTriggerPolicy policy = core::CaTriggerPolicy{},
-           bool adaptive = false);
+           std::function<bool()> out_of_time, core::TierPolicy policy = {});
 
   /// Request a round. `control` marks it as triggered by CA-GVT's control
   /// policy (queue occupancy / low efficiency) rather than plain cadence;
@@ -97,10 +93,6 @@ class GvtFence {
                        const std::function<FenceContribution()>& contribute,
                        const std::function<void(double)>& adopt);
 
-  /// Smoothed global efficiency after the last round (the CA trigger's
-  /// input; shared EWMA semantics with the coroutine backend via
-  /// core::EfficiencyEstimator).
-  double efficiency() const { return efficiency_.load(std::memory_order_acquire); }
   double last_gvt() const { return gvt_.load(std::memory_order_acquire); }
 
   /// Tier decided by the adaptive policy after the last round (kAsync for
@@ -112,12 +104,25 @@ class GvtFence {
     return static_cast<core::SyncTier>(tier_.load(std::memory_order_acquire));
   }
 
+  /// CA-GVT's raw queue trigger on an instantaneous in-flight backlog (no
+  /// smoothing, no hysteresis): the any-worker control announce. False for
+  /// the non-adaptive kinds. Reads only the policy's immutable thresholds,
+  /// so any thread may ask.
+  bool backlog_trips(std::int64_t backlog) const {
+    const core::CaTriggerPolicy* trigger = policy_.trigger();
+    return trigger != nullptr && backlog > 0 &&
+           trigger->trips(1.0, static_cast<double>(backlog));
+  }
+
   // --- post-join introspection (call after every party thread exited) ----
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t sync_rounds() const { return sync_rounds_; }
   /// Rounds whose decided tier was kThrottle (clamp engaged, cadence async).
   std::uint64_t throttle_rounds() const { return throttle_rounds_; }
   bool completed() const { return completed_; }
+  /// Smoothed global efficiency after the last round (the CA trigger's
+  /// input).
+  double efficiency() const { return policy_.efficiency(); }
   const std::vector<double>& gvt_trace() const { return gvt_trace_; }
 
  private:
@@ -140,14 +145,11 @@ class GvtFence {
   std::atomic<bool> quiesced_{false};
   std::atomic<double> gvt_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<double> efficiency_{1.0};
   std::atomic<std::uint8_t> tier_{0};  // core::SyncTier of the last decision
 
   // Coordinator-only state (party 0 between barriers; main thread after
   // join — thread creation/join provide the happens-before).
-  core::EfficiencyEstimator estimator_;
-  core::CaTriggerPolicy policy_;
-  const bool adaptive_;
+  core::TierPolicy policy_;
   bool control_round_ = false;
   /// In-flight backlog sampled at round entry (before the quiesce drains
   /// it to zero) — the threads backend's queue-occupancy signal.

@@ -15,8 +15,7 @@ using core::MpiPlacement;
 ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model& model)
     : cfg_(cfg),
       model_(model),
-      map_(cfg.nodes, cfg.workers_per_node(), cfg.lps_per_worker),
-      trigger_(core::trigger_policy_from(cfg)) {
+      map_(cfg.nodes, cfg.workers_per_node(), cfg.lps_per_worker) {
   cfg_.validate();
   if (!cfg_.faults.empty())
     throw std::invalid_argument(
@@ -42,16 +41,11 @@ ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model&
   const pdes::KernelConfig kcfg{cfg_.end_vt, cfg_.seed};
   workers_.reserve(static_cast<std::size_t>(map_.total_workers()));
   for (int w = 0; w < map_.total_workers(); ++w) {
-    workers_.push_back(std::make_unique<Worker>(model_, map_, w, kcfg));
-    if (cfg_.flow.enabled()) {
-      // Each worker's detector is fed only from its own kernel (the hook
-      // fires on the owning thread), keeping flow state thread-partitioned.
-      Worker* wp = workers_.back().get();
-      wp->storm = flow::StormDetector(cfg_.flow.storm);
-      wp->kernel.set_rollback_hook([wp](std::uint64_t depth, bool secondary) {
-        wp->storm.note(depth, secondary);
-      });
-    }
+    workers_.push_back(std::make_unique<Worker>(model_, map_, w, kcfg, cfg_.flow));
+    // The throttle's detector is fed only from its own kernel (the hook
+    // fires on the owning thread), keeping flow state thread-partitioned.
+    Worker& worker = *workers_.back();
+    if (cfg_.flow.enabled()) worker.throttle.attach(worker.kernel);
   }
   if (uses_outbox()) {
     outboxes_.reserve(static_cast<std::size_t>(cfg_.nodes));
@@ -61,15 +55,12 @@ ThreadEngine::ThreadEngine(const core::SimulationConfig& cfg, const pdes::Model&
 
   const int parties =
       map_.total_workers() + (cfg_.has_dedicated_mpi() ? cfg_.nodes : 0);
-  // The stateful trigger policy (hysteresis + deferred escalation) lives in
-  // the fence coordinator for the adaptive kinds; the other kinds never run
-  // it and always report SyncTier::kAsync.
-  const bool adaptive =
-      cfg_.gvt == GvtKind::kControlledAsync || cfg_.gvt == GvtKind::kEpoch;
+  // The stateful tier policy (hysteresis + deferred escalation) lives in
+  // the fence coordinator.
   fence_ = std::make_unique<GvtFence>(
       parties, cfg_.end_vt, in_flight_,
       [this] { return std::chrono::steady_clock::now() >= deadline_; },
-      trigger_, adaptive);
+      core::tier_policy_from(cfg_));
 }
 
 void ThreadEngine::route_externals(Worker& self, int src_node,
@@ -142,8 +133,7 @@ void ThreadEngine::maybe_announce(Worker& self, int w) {
       // hysteresis/escalation policy is coordinator-owned inside the
       // fence). Otherwise it falls through to the epoch cadence below,
       // whose escalated kSync tier shortens the initiator's interval.
-      const auto backlog = in_flight_.load(std::memory_order_relaxed);
-      if (backlog > 0 && trigger_.trips(1.0, static_cast<double>(backlog))) {
+      if (fence_->backlog_trips(in_flight_.load(std::memory_order_relaxed))) {
         fence_->announce(/*control=*/true);
         break;
       }
@@ -168,49 +158,6 @@ void ThreadEngine::maybe_announce(Worker& self, int w) {
   }
 }
 
-void ThreadEngine::flow_tick(Worker& self) {
-  const core::FlowPressurePolicy policy{static_cast<std::uint64_t>(cfg_.flow.mem)};
-  const std::size_t pool = self.kernel.pending_size() + self.kernel.live_history();
-  self.tier = policy.classify(pool);
-  // Engage immediately — waiting for the next adoption would let
-  // speculation overshoot the budget by a whole round's worth of history.
-  // (An engaged clamp already covers last_gvt + clamp: the slide is a no-op.)
-  if (self.tier != core::PressureTier::kGreen &&
-      self.flow_clamp.engage(self.last_gvt, cfg_.flow.clamp))
-    ++self.throttle_engagements;
-  if (self.tier == core::PressureTier::kRed && !self.red_announced) {
-    // Pressure signaling through the fence: pull the fleet into a round so
-    // the adopted GVT can fossil-collect the pool. One announce per round —
-    // re-announcing while the round is pending would only re-arm the fence.
-    fence_->announce();
-    self.red_announced = true;
-    ++self.forced_rounds;
-  }
-}
-
-void ThreadEngine::flow_adopt(Worker& self, double gvt) {
-  self.last_gvt = gvt;
-  const bool storming = self.storm.fold_round();
-  const core::FlowPressurePolicy policy{static_cast<std::uint64_t>(cfg_.flow.mem)};
-  const std::size_t pool = self.kernel.pending_size() + self.kernel.live_history();
-  self.tier = policy.classify(pool);
-  self.red_announced = false;
-  const bool stressed = storming || self.tier != core::PressureTier::kGreen;
-  if (self.flow_clamp.step(stressed, gvt, cfg_.flow.clamp)) ++self.throttle_engagements;
-}
-
-FenceContribution ThreadEngine::contribute(Worker& self) {
-  FenceContribution c;
-  c.min_ts = self.kernel.local_min_ts();
-  const auto& ks = self.kernel.stats();
-  c.committed_delta = ks.committed - self.last_committed;
-  c.processed_delta =
-      c.committed_delta + (ks.rolled_back - self.last_rolled_back);
-  self.last_committed = ks.committed;
-  self.last_rolled_back = ks.rolled_back;
-  return c;
-}
-
 void ThreadEngine::worker_main(int w) {
   Worker& self = *workers_[static_cast<std::size_t>(w)];
   self.kernel.init();
@@ -220,6 +167,7 @@ void ThreadEngine::worker_main(int w) {
   const auto poll_period = static_cast<std::uint64_t>(cfg_.combined_mpi_poll_period);
 
   const bool flow_on = cfg_.flow.enabled();
+  const auto flow_budget = static_cast<std::uint64_t>(cfg_.flow.mem);
 
   for (;;) {
     drain_inbox(self, node);
@@ -227,7 +175,7 @@ void ThreadEngine::worker_main(int w) {
     // The flow clamp and the GVT trigger policy's clamp compose by taking
     // the tighter bound (same rule as the coroutine backend's worker loop).
     const pdes::VirtualTime bound =
-        std::min(self.flow_clamp.bound(), self.policy_clamp.bound());
+        std::min(self.throttle.bound(), self.policy_clamp.bound());
     for (int i = 0; i < cfg_.batch; ++i) {
       pdes::Outcome out = self.kernel.process_next_bounded(bound);
       if (!out.processed) break;
@@ -239,7 +187,17 @@ void ThreadEngine::worker_main(int w) {
     if (combined_duty && self.iterations % poll_period == 0)
       forward_outbox(node, self.drain_buf);
 
-    if (flow_on) flow_tick(self);
+    if (flow_on &&
+        self.throttle.classify(self.kernel.pending_size() + self.kernel.live_history(),
+                               flow_budget) == core::PressureTier::kRed &&
+        !self.red_announced) {
+      // Pressure signaling through the fence: pull the fleet into a round so
+      // the adopted GVT can fossil-collect the pool. One announce per round —
+      // re-announcing while the round is pending would only re-arm the fence.
+      fence_->announce();
+      self.red_announced = true;
+      ++self.forced_rounds;
+    }
     maybe_announce(self, w);
     if (fence_->announced()) {
       const FenceRound round = fence_->run_round(
@@ -248,10 +206,16 @@ void ThreadEngine::worker_main(int w) {
             drain_inbox(self, node);
             if (combined_duty) forward_outbox(node, self.drain_buf);
           },
-          [&] { return contribute(self); },
+          [&] {
+            return FenceContribution{self.kernel.local_min_ts(),
+                                     self.decided.take(self.kernel.stats())};
+          },
           [&](double gvt) {
             self.kernel.sample_pool_peak();
-            if (flow_on) flow_adopt(self, gvt);
+            if (flow_on) {
+              self.throttle.adopt(gvt);
+              self.red_announced = false;
+            }
             // The fence's decided tier (published by reduce() earlier in
             // this round; the barriers order the accesses).
             if (cons::apply_tier(self.policy_clamp, fence_->tier(), gvt,
@@ -325,8 +289,8 @@ core::SimulationResult ThreadEngine::run(double max_wall_seconds) {
     result.regional_msgs += worker->regional_msgs;
     result.remote_msgs += worker->remote_msgs;
     if (cfg_.flow.enabled()) {
-      result.flow_storms += worker->storm.storms();
-      result.flow_throttle_engagements += worker->throttle_engagements;
+      result.flow_storms += worker->throttle.storm().storms();
+      result.flow_throttle_engagements += worker->throttle.engagements();
       result.flow_forced_rounds += worker->forced_rounds;
     }
     result.gvt_throttle_engagements += worker->gvt_throttle_engagements;

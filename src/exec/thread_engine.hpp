@@ -15,14 +15,17 @@
 //     GvtKinds differ only in WHO announces a round and WHEN (see
 //     maybe_announce), the fence protocol itself is shared
 //   * overload protection (--flow=bounded) stays thread-partitioned: each
-//     worker owns its StormDetector, pressure tier, and throttle bound, fed
-//     only from its own kernel. Red pressure signals the fleet through the
-//     fence (announce a round so fossil collection can relieve the pool);
-//     there is no cancelback here — no simulated transport to carry events
-//     back — so relief is forced rounds plus the optimism clamp. The shared
-//     arithmetic (core::FlowPressurePolicy, cons::Clamp,
-//     flow::StormDetector) is identical to the coroutine backend's
-//     flow::Controller, so pressure semantics cannot diverge.
+//     worker owns a flow::WorkerThrottle — the same per-worker storm
+//     detector, pressure tier and clamp flow::Controller keeps on the
+//     coroutine backend — fed only from its own kernel. Red pressure
+//     signals the fleet through the fence (announce a round so fossil
+//     collection can relieve the pool); there is no cancelback here — no
+//     simulated transport to carry events back — so relief is forced
+//     rounds plus the optimism clamp.
+//   * the adaptive GVT tier is decided by the fence coordinator with the
+//     core::TierPolicy GvtAlgorithm::decide runs on the coroutine backend,
+//     and each worker's decided-event window is a core::DecidedWindow, so
+//     the efficiency estimate and the tiers cannot diverge either.
 //
 // The kernels stay single-owner — only the owning thread touches its
 // pending set and rollback machinery; cross-thread hand-off happens
@@ -49,7 +52,7 @@
 #include "core/simulation.hpp"
 #include "exec/gvt_fence.hpp"
 #include "exec/mpsc_queue.hpp"
-#include "flow/storm_detector.hpp"
+#include "flow/worker_throttle.hpp"
 #include "pdes/kernel.hpp"
 #include "pdes/mapping.hpp"
 #include "pdes/model.hpp"
@@ -70,28 +73,21 @@ class ThreadEngine {
  private:
   struct alignas(64) Worker {
     Worker(const pdes::Model& model, const pdes::LpMap& map, int global_worker,
-           pdes::KernelConfig kcfg)
-        : kernel(model, map, global_worker, kcfg) {}
+           pdes::KernelConfig kcfg, const flow::FlowConfig& flow)
+        : kernel(model, map, global_worker, kcfg), throttle(flow) {}
 
     pdes::ThreadKernel kernel;
     MpscQueue<pdes::Event> inbox;
     std::vector<pdes::Event> drain_buf;  // owner-thread scratch
     std::uint64_t iterations = 0;
     std::uint64_t iters_since_round = 0;
-    // Decided-event counters at the previous fence contribution, for the
-    // windowed efficiency estimate (same scheme as GvtThreadState).
-    std::uint64_t last_committed = 0;
-    std::uint64_t last_rolled_back = 0;
+    core::DecidedWindow decided;  // since the previous fence contribution
     std::uint64_t regional_msgs = 0;
     std::uint64_t remote_msgs = 0;
 
     // --- overload protection (--flow=bounded), all owner-thread-only ------
-    flow::StormDetector storm{};            // threshold set by the ctor
-    core::PressureTier tier = core::PressureTier::kGreen;
-    cons::Clamp flow_clamp;                 // throttle clamp
-    pdes::VirtualTime last_gvt = 0;         // last adopted round value
-    bool red_announced = false;             // one forced announce per round
-    std::uint64_t throttle_engagements = 0;
+    flow::WorkerThrottle throttle;
+    bool red_announced = false;  // one forced announce per round
     std::uint64_t forced_rounds = 0;
 
     // --- GVT trigger-policy clamp (CA-GVT / epoch tiers), owner-thread-only.
@@ -116,14 +112,6 @@ class ThreadEngine {
   void forward_outbox(int node, std::vector<pdes::Event>& scratch);
   /// Per-GvtKind round trigger, evaluated once per worker loop iteration.
   void maybe_announce(Worker& self, int w);
-  FenceContribution contribute(Worker& self);
-  /// Classify this worker's event-pool pressure; red announces a fence
-  /// round (once per round) so fossil collection can relieve the pool.
-  void flow_tick(Worker& self);
-  /// Per-round overload bookkeeping at GVT adoption: fold the storm
-  /// detector, reclassify pressure, and step the throttle clamp's
-  /// hysteresis (cons::Clamp::step, as flow::Controller does).
-  void flow_adopt(Worker& self, double gvt);
 
   bool uses_outbox() const { return cfg_.mpi != core::MpiPlacement::kEverywhere; }
 
@@ -134,9 +122,6 @@ class ThreadEngine {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<MpscQueue<pdes::Event>>> outboxes_;  // one per node
   std::unique_ptr<GvtFence> fence_;
-  /// CA-GVT's raw trip condition for the any-worker queue announce (the
-  /// stateful policy itself is coordinator-owned inside the fence).
-  core::CaTriggerPolicy trigger_;
   std::chrono::steady_clock::time_point deadline_{};
 };
 

@@ -12,30 +12,22 @@ namespace cagvt::flow {
 Controller::Controller(const FlowConfig& cfg, int workers, const fault::FaultEngine* faults,
                        obs::TraceRecorder* trace)
     : cfg_(cfg),
-      workers_(workers),
       faults_(faults),
-      tier_(static_cast<std::size_t>(workers), core::PressureTier::kGreen),
-      detectors_(static_cast<std::size_t>(workers), StormDetector(cfg.storm)),
-      clamps_(static_cast<std::size_t>(workers)),
-      gvt_(static_cast<std::size_t>(workers), 0.0),
+      throttles_(static_cast<std::size_t>(workers), WorkerThrottle(cfg)),
       parked_(static_cast<std::size_t>(workers)),
       trace_(trace) {
   CAGVT_CHECK_MSG(cfg_.enabled(), "flow::Controller built with --flow=off");
-  CAGVT_CHECK(workers_ > 0);
-  policy_.budget = static_cast<std::uint64_t>(cfg_.mem);
+  CAGVT_CHECK(workers > 0);
 }
 
 void Controller::attach(core::WorkerCtx& worker) {
-  const int gw = worker.global_worker;
-  worker.kernel.set_rollback_hook([this, gw](std::uint64_t depth, bool secondary) {
-    detectors_[static_cast<std::size_t>(gw)].note(depth, secondary);
-  });
+  throttles_[static_cast<std::size_t>(worker.global_worker)].attach(worker.kernel);
 }
 
 void Controller::batch_tick(core::WorkerCtx& worker, int /*processed*/,
                             std::vector<pdes::Event>& out) {
   const int gw = worker.global_worker;
-  const std::size_t w = static_cast<std::size_t>(gw);
+  WorkerThrottle& throttle = throttles_[static_cast<std::size_t>(gw)];
   const std::size_t pending = worker.kernel.pending_size();
   const std::uint64_t pool = pending + worker.kernel.live_history();
   if (pool > peak_pool_) peak_pool_ = pool;
@@ -43,25 +35,14 @@ void Controller::batch_tick(core::WorkerCtx& worker, int /*processed*/,
   // The effective budget: the configured one, capped by any active `mem:`
   // squeeze.
   const std::int64_t squeeze = faults_ != nullptr ? faults_->mem_budget(gw) : 0;
-  const std::int64_t budget = squeeze > 0 ? std::min(cfg_.mem, squeeze) : cfg_.mem;
-  core::FlowPressurePolicy policy = policy_;
-  policy.budget = static_cast<std::uint64_t>(budget);
-  const core::PressureTier tier = policy.classify(pool);
-
-  if (tier != tier_[w]) {
-    tier_[w] = tier;
-    if (trace_ != nullptr)
-      trace_->flow_pressure(gw, static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
-                            static_cast<int>(tier), static_cast<std::int64_t>(pool),
-                            static_cast<std::int64_t>(policy.budget));
-  }
-
-  // Engage the throttle the moment pressure appears — waiting for the next
-  // round adoption would let speculation overshoot the budget by a whole
-  // round's worth of history. (An engaged clamp already covers gvt_[w] +
-  // clamp, so the slide is a no-op.)
-  if (tier != core::PressureTier::kGreen && clamps_[w].engage(gvt_[w], cfg_.clamp))
-    ++throttle_engagements_;
+  const core::FlowPressurePolicy policy{static_cast<std::uint64_t>(
+      squeeze > 0 ? std::min(cfg_.mem, squeeze) : cfg_.mem)};
+  const core::PressureTier before = throttle.tier();
+  const core::PressureTier tier = throttle.classify(pool, policy.budget);
+  if (tier != before && trace_ != nullptr)
+    trace_->flow_pressure(gw, static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
+                          static_cast<int>(tier), static_cast<std::int64_t>(pool),
+                          static_cast<std::int64_t>(policy.budget));
   if (tier != core::PressureTier::kRed) return;
 
   ++red_ticks_;
@@ -130,7 +111,7 @@ void Controller::batch_release(core::WorkerCtx& worker, std::vector<pdes::Event>
     const bool hold_expired = last_round_ - p.round >= kMaxHoldRounds;
     const bool dest_calm =
         p.dest_worker < 0 ||
-        tier_[static_cast<std::size_t>(p.dest_worker)] == core::PressureTier::kGreen;
+        throttles_[static_cast<std::size_t>(p.dest_worker)].tier() == core::PressureTier::kGreen;
     if (released < kReleaseBatch && (dest_calm || hold_expired)) {
       out.push_back(p.event);
       ++released;
@@ -152,8 +133,6 @@ void Controller::open_round(std::uint64_t /*round*/, core::RoundOpen& /*open*/) 
 
 void Controller::adopt(std::uint64_t round_number, core::WorkerCtx& worker, double gvt) {
   const auto round = static_cast<std::int64_t>(round_number);
-  const std::size_t w = static_cast<std::size_t>(worker.global_worker);
-  gvt_[w] = gvt;
   if (round > last_round_) {
     last_round_ = round;
     if (round_inflight_) {  // the forced round has been adopted
@@ -162,17 +141,12 @@ void Controller::adopt(std::uint64_t round_number, core::WorkerCtx& worker, doub
     }
   }
 
-  StormDetector& det = detectors_[w];
-  const bool was_storming = det.storming();
-  det.fold_round();
-  if (det.storming() != was_storming && trace_ != nullptr)
+  WorkerThrottle& throttle = throttles_[static_cast<std::size_t>(worker.global_worker)];
+  if (throttle.adopt(gvt) && trace_ != nullptr) {
+    const StormDetector& det = throttle.storm();
     trace_->flow_storm(worker.global_worker, static_cast<std::uint64_t>(std::max<std::int64_t>(round, 0)),
                        det.storming(), det.secondary_fraction(), det.depth_ewma());
-
-  // Throttle: engage/refresh the horizon clamp while the worker is either
-  // storming or above green pressure; release after calm rounds.
-  const bool stressed = det.storming() || tier_[w] != core::PressureTier::kGreen;
-  if (clamps_[w].step(stressed, gvt, cfg_.clamp)) ++throttle_engagements_;
+  }
 }
 
 void Controller::save_state(int worker, core::WorkerSnapshot& snap) const {
@@ -196,8 +170,10 @@ void Controller::load_state(int worker, const core::WorkerSnapshot& snap) {
 void Controller::report(core::SimulationResult& result, obs::MetricsRegistry& metrics) const {
   result.flow_cancelbacks = cancelbacks_;
   result.flow_releases = releases_;
-  for (const StormDetector& det : detectors_) result.flow_storms += det.storms();
-  result.flow_throttle_engagements = throttle_engagements_;
+  for (const WorkerThrottle& throttle : throttles_) {
+    result.flow_storms += throttle.storm().storms();
+    result.flow_throttle_engagements += throttle.engagements();
+  }
   result.flow_forced_rounds = forced_rounds_;
   result.flow_absorbed_antis = absorbed_antis_;
   // The controller's tick-sampled peak is finer than the kernels'
@@ -214,9 +190,7 @@ void Controller::report(core::SimulationResult& result, obs::MetricsRegistry& me
 }
 
 void Controller::on_restore() {
-  std::fill(tier_.begin(), tier_.end(), core::PressureTier::kGreen);
-  for (cons::Clamp& clamp : clamps_) clamp.release();
-  for (StormDetector& det : detectors_) det.reset();
+  for (WorkerThrottle& throttle : throttles_) throttle.reset();
   round_requested_ = false;
   round_inflight_ = false;
 }

@@ -18,20 +18,18 @@
 //    can never overrun a parked event — which is exactly why parking is
 //    outcome-invariant.
 //
-//  * rollback-storm detection — one StormDetector per worker consumes the
-//    kernel's rollback hook stream (depth + straggler/anti cause) and folds
-//    it per GVT round into the echo / deepening-cascade signatures.
-//
-//  * adaptive optimism throttling — on storm or yellow pressure a worker's
-//    execution horizon is clamped to GVT + clamp (the Korniss-Novotny
-//    suppression), per worker, sliding forward with each round and
-//    self-releasing after consecutive calm rounds (cons::Clamp::step, the
-//    hysteresis the thread backend shares).
+//  * rollback-storm detection and adaptive optimism throttling — one
+//    flow::WorkerThrottle per worker (flow/worker_throttle.hpp) folds the
+//    kernel's rollback episodes per GVT round into the echo /
+//    deepening-cascade signatures and, on storm or yellow pressure, clamps
+//    the worker's execution horizon to GVT + clamp (the Korniss-Novotny
+//    suppression), sliding forward with each round and self-releasing
+//    after consecutive calm rounds.
 //
 // Threading: like cons::Controller, one instance serves the whole cluster
 // on the coroutine backend's single metasim engine thread — no locking.
-// The real-thread backend does not use this class: it carries budgets,
-// detectors and clamps per worker and signals pressure through the GVT
+// The real-thread backend does not use this class: each of its workers
+// owns the same WorkerThrottle and signals red pressure through the GVT
 // fence (exec/gvt_fence.hpp); cancelback needs simulated transport, so
 // threads-backend relief is forced rounds + clamping only.
 #pragma once
@@ -40,12 +38,10 @@
 #include <deque>
 #include <vector>
 
-#include "cons/clamp.hpp"
-#include "core/gvt_policy.hpp"
 #include "core/round_hook.hpp"
 #include "fault/fault_engine.hpp"
 #include "flow/flow_config.hpp"
-#include "flow/storm_detector.hpp"
+#include "flow/worker_throttle.hpp"
 #include "obs/trace.hpp"
 #include "pdes/event.hpp"
 
@@ -67,7 +63,7 @@ class Controller final : public core::RoundHook {
   /// Largest recv_ts the worker may execute (kVtInfinity when unthrottled).
   bool in_worker_loop() const override { return true; }
   pdes::VirtualTime exec_bound(int worker) const override {
-    return clamps_[static_cast<std::size_t>(worker)].bound();
+    return throttles_[static_cast<std::size_t>(worker)].bound();
   }
 
   /// Per-batch accounting: classify the worker's event-pool occupancy
@@ -95,9 +91,8 @@ class Controller final : public core::RoundHook {
   /// raised while one is in flight.
   void open_round(std::uint64_t round, core::RoundOpen& open) override;
 
-  /// The worker adopted `round` with `gvt`: fold its storm detector,
-  /// refresh or release its throttle clamp, and advance the parked-hold
-  /// clock.
+  /// The worker adopted `round` with `gvt`: step its throttle (storm
+  /// detector fold, clamp hysteresis) and advance the parked-hold clock.
   void adopt(std::uint64_t round, core::WorkerCtx& worker, double gvt) override;
 
   /// Parked events are each event's ONLY copy, so they are checkpoint
@@ -106,7 +101,7 @@ class Controller final : public core::RoundHook {
   void save_state(int worker, core::WorkerSnapshot& snap) const override;
   void load_state(int worker, const core::WorkerSnapshot& snap) override;
 
-  /// Cluster restore: reset detectors, clamps, tiers and round requests.
+  /// Cluster restore: reset the throttles and round requests.
   /// Parked sets are NOT touched — load_state() reinstalls them.
   void on_restore() override;
 
@@ -136,14 +131,9 @@ class Controller final : public core::RoundHook {
   static constexpr std::size_t kReleaseBatch = 64;
 
   FlowConfig cfg_;
-  int workers_;
   const fault::FaultEngine* faults_;
-  core::FlowPressurePolicy policy_;  // budget field is re-derived per query
 
-  std::vector<core::PressureTier> tier_;
-  std::vector<StormDetector> detectors_;
-  std::vector<cons::Clamp> clamps_;     // throttle clamp, per worker
-  std::vector<pdes::VirtualTime> gvt_;  // last adopted GVT, per worker
+  std::vector<WorkerThrottle> throttles_;
   std::vector<std::deque<Parked>> parked_;
 
   std::int64_t last_round_ = -1;
@@ -154,7 +144,6 @@ class Controller final : public core::RoundHook {
   std::uint64_t releases_ = 0;
   std::uint64_t absorbed_antis_ = 0;
   std::uint64_t forced_rounds_ = 0;
-  std::uint64_t throttle_engagements_ = 0;
   std::uint64_t red_ticks_ = 0;
   std::uint64_t peak_pool_ = 0;
 

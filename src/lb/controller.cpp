@@ -59,11 +59,9 @@ void Controller::finalize_round(std::uint64_t round, const RoundObs& obs) {
     sum_sq += lvt * lvt;
     ++finite;
   }
-  double width = 0;
-  if (finite >= 2) {
-    const double mean = sum / finite;
-    width = std::sqrt(std::max(0.0, sum_sq / finite - mean * mean));
-  }
+  const double mean = finite >= 1 ? sum / finite : 0.0;
+  const double width =
+      finite >= 2 ? std::sqrt(std::max(0.0, sum_sq / finite - mean * mean)) : 0.0;
   ++rounds_finalized_;
   width_sum_ += width;
   ++warmup_rounds_;
@@ -85,9 +83,9 @@ void Controller::finalize_round(std::uint64_t round, const RoundObs& obs) {
       !migrated_once_ ||
       round >= last_migration_round_ +
                    static_cast<std::uint64_t>(cfg_.cooldown) * backoff_;
-  if (warmup_rounds_ >= 3 && pending_plan_.empty() && cooled &&
+  if (warmup_rounds_ >= 3 && pending_plan_.empty() && cooled && finite >= 1 &&
       width_ewma_ > cfg_.trigger * std::max(advance_ewma_, 1e-9)) {
-    plan_moves(round, obs);
+    plan_moves(round, obs, mean, width);
     triggered = !pending_plan_.empty();
     if (triggered) {
       if (width_at_last_plan_ >= 0 && width_ewma_ >= 0.95 * width_at_last_plan_) {
@@ -104,20 +102,9 @@ void Controller::finalize_round(std::uint64_t round, const RoundObs& obs) {
   if (trace_ != nullptr) trace_->lb_roughness(round, width, width_ewma_, triggered);
 }
 
-void Controller::plan_moves(std::uint64_t round, const RoundObs& obs) {
+void Controller::plan_moves(std::uint64_t round, const RoundObs& obs, double mean,
+                            double width) {
   const int total = static_cast<int>(kernels_.size());
-  double sum = 0, sum_sq = 0;
-  int finite = 0;
-  for (const double lvt : obs.lvt) {
-    if (!std::isfinite(lvt)) continue;
-    sum += lvt;
-    sum_sq += lvt * lvt;
-    ++finite;
-  }
-  if (finite < 1) return;
-  const double mean = sum / finite;
-  const double width =
-      finite >= 2 ? std::sqrt(std::max(0.0, sum_sq / finite - mean * mean)) : 0.0;
 
   // Laggards drag the horizon down from below the band; leaders (including
   // idle workers) pull from above and have capacity to absorb load.

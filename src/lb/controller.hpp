@@ -71,7 +71,8 @@ class Controller final : public core::RoundHook {
 
   /// All of a round's workers have reported: update estimators, maybe plan.
   void finalize_round(std::uint64_t round, const RoundObs& obs);
-  void plan_moves(std::uint64_t round, const RoundObs& obs);
+  /// `mean` and `width` are finalize_round's LVT surface (finite LVTs).
+  void plan_moves(std::uint64_t round, const RoundObs& obs, double mean, double width);
 
   LbConfig cfg_;
   pdes::OwnerTable& owners_;

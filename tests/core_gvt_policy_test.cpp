@@ -4,6 +4,9 @@
 // (core/config.hpp).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "core/config.hpp"
 #include "core/gvt_policy.hpp"
 
@@ -13,12 +16,9 @@ namespace {
 CaTriggerPolicy::Config base_config() {
   CaTriggerPolicy::Config cfg;
   cfg.efficiency_threshold = 0.80;
-  cfg.release_margin = 0.05;
   cfg.queue_threshold = 16;
   cfg.queue_release_frac = 0.5;
-  cfg.queue_alpha = 0.5;
   cfg.escalate_after = 3;
-  cfg.calm_release = 2;
   return cfg;
 }
 
@@ -95,7 +95,7 @@ TEST(CaTriggerPolicyTest, ReleaseRequiresMarginAboveTripThreshold) {
 }
 
 TEST(CaTriggerPolicyTest, ReleasesAfterCalmRoundsNotFirst) {
-  CaTriggerPolicy policy(base_config());  // calm_release = 2
+  CaTriggerPolicy policy(base_config());  // kCalmRelease = 2
   policy.decide(0.50, 0);
   const SyncDecision first_calm = policy.decide(0.95, 0);
   EXPECT_EQ(first_calm.tier, SyncTier::kThrottle);  // cooling off, still clamped
@@ -118,7 +118,7 @@ TEST(CaTriggerPolicyTest, CalmStreakResetsOnMidBandRound) {
 }
 
 TEST(CaTriggerPolicyTest, QueuePeakIsSmoothedByEwma) {
-  CaTriggerPolicy policy(base_config());  // alpha 0.5, threshold 16
+  CaTriggerPolicy policy(base_config());  // kQueueAlpha 0.5, threshold 16
   // One spike of 24 smooths to 12 <= 16: no trip (the raw peak would trip).
   const SyncDecision spike = policy.decide(0.95, 24);
   EXPECT_FALSE(spike.tripped);
@@ -203,14 +203,23 @@ TEST(GvtSpecTest, BareKindKeepsKnobDefaults) {
 
 TEST(GvtSpecTest, ParsesEveryKnob) {
   SimulationConfig cfg;
-  apply_gvt_spec(cfg, "epoch,escalate=5,clamp=2.5,release=0.1,queue-alpha=0.25,calm=4");
+  apply_gvt_spec(cfg, "epoch,escalate=5,clamp=2.5");
   EXPECT_EQ(cfg.gvt, GvtKind::kEpoch);
   EXPECT_EQ(cfg.gvt_escalate_rounds, 5);
   EXPECT_DOUBLE_EQ(cfg.gvt_throttle_clamp, 2.5);
-  EXPECT_DOUBLE_EQ(cfg.ca_release_margin, 0.1);
-  EXPECT_DOUBLE_EQ(cfg.ca_queue_alpha, 0.25);
-  EXPECT_EQ(cfg.gvt_calm_rounds, 4);
   cfg.validate();
+  // The hysteresis constants are not knobs: their old keys are rejected
+  // by name.
+  for (const char* key : {"release=0.1", "queue-alpha=0.25", "calm=4"}) {
+    try {
+      apply_gvt_spec(cfg, std::string("epoch,escalate=5,") + key);
+      FAIL() << "expected std::invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      const std::string name(key, std::string_view(key).find('='));
+      EXPECT_NE(what.find("'" + name + "'"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(GvtSpecTest, UnknownParameterNamesValidOnes) {
@@ -221,9 +230,7 @@ TEST(GvtSpecTest, UnknownParameterNamesValidOnes) {
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("esclate"), std::string::npos) << what;
-    EXPECT_NE(what.find("escalate"), std::string::npos) << what;
-    EXPECT_NE(what.find("clamp"), std::string::npos) << what;
-    EXPECT_NE(what.find("calm"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected escalate or clamp"), std::string::npos) << what;
   }
 }
 
@@ -248,26 +255,28 @@ TEST(GvtSpecTest, ValidateRejectsOutOfRangeKnobs) {
     cfg.gvt_throttle_clamp = clamp;
     EXPECT_THROW(cfg.validate(), std::invalid_argument) << "clamp=" << clamp;
   }
-  cfg = SimulationConfig{};
-  cfg.ca_queue_alpha = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = SimulationConfig{};
-  cfg.gvt_calm_rounds = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(GvtSpecTest, TriggerPolicyFromMirrorsConfig) {
   SimulationConfig cfg;
-  apply_gvt_spec(cfg, "ca-gvt,escalate=7,release=0.2,calm=5,queue-alpha=0.75");
+  apply_gvt_spec(cfg, "ca-gvt,escalate=7");
   cfg.ca_efficiency_threshold = 0.6;
   cfg.ca_queue_threshold = 32;
-  const CaTriggerPolicy policy = trigger_policy_from(cfg);
-  EXPECT_DOUBLE_EQ(policy.config().efficiency_threshold, 0.6);
-  EXPECT_DOUBLE_EQ(policy.config().release_margin, 0.2);
-  EXPECT_EQ(policy.config().queue_threshold, 32u);
-  EXPECT_DOUBLE_EQ(policy.config().queue_alpha, 0.75);
-  EXPECT_EQ(policy.config().escalate_after, 7);
-  EXPECT_EQ(policy.config().calm_release, 5);
+  const TierPolicy policy = tier_policy_from(cfg);
+  ASSERT_NE(policy.trigger(), nullptr);
+  EXPECT_DOUBLE_EQ(policy.trigger()->config().efficiency_threshold, 0.6);
+  EXPECT_EQ(policy.trigger()->config().queue_threshold, 32u);
+  EXPECT_EQ(policy.trigger()->config().escalate_after, 7);
+  // The trigger policy is engaged for the adaptive kinds only.
+  cfg.gvt = GvtKind::kEpoch;
+  EXPECT_NE(tier_policy_from(cfg).trigger(), nullptr);
+  for (const GvtKind kind : {GvtKind::kBarrier, GvtKind::kMattern}) {
+    cfg.gvt = kind;
+    TierPolicy plain = tier_policy_from(cfg);
+    EXPECT_EQ(plain.trigger(), nullptr) << to_string(kind);
+    EXPECT_EQ(plain.decide({.committed = 0, .processed = 100}, 1000), SyncTier::kAsync);
+    EXPECT_DOUBLE_EQ(plain.efficiency(), 0.7);  // the EWMA still runs
+  }
 }
 
 TEST(TreeArityAutotuneTest, TinyClustersGetBinaryTrees) {

@@ -206,8 +206,9 @@ TEST(FlowGoldenMatrix, CancelbackComposesWithCrashRecovery) {
 }
 
 // Named for the TSan CI lane (-R ...|FlowThreadsTest): the threads-backend
-// pressure path — per-worker detectors, the clamp, and red-pressure fence
-// announces — must be data-race-free and outcome-invariant.
+// pressure path — per-worker throttles and red-pressure fence announces —
+// must be data-race-free and outcome-invariant, and the throttle must
+// actually engage (a run with the clamp disconnected commits the same).
 TEST(FlowThreadsTest, ThreadsBackendBoundedMatchesOracle) {
   SimulationConfig cfg;
   cfg.nodes = 2;
@@ -239,6 +240,7 @@ TEST(FlowThreadsTest, ThreadsBackendBoundedMatchesOracle) {
     EXPECT_EQ(r.committed_fingerprint, ref.fingerprint()) << to_string(kind);
     EXPECT_EQ(r.state_hash, ref.state_hash()) << to_string(kind);
     EXPECT_GT(r.peak_event_pool, 0u) << to_string(kind);
+    EXPECT_GT(r.flow_throttle_engagements, 0u) << to_string(kind);
   }
 }
 
