@@ -37,6 +37,10 @@ class BarrierGvt final : public GvtAlgorithm {
 
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
+  bool tick_pending(const WorkerCtx& worker) const override { return round_due(worker, 1); }
+  bool agent_pending() const override {
+    return node_.cfg().has_dedicated_mpi() && round_active_;
+  }
   bool agent_done() const override { return !round_active_; }
 
   void on_token(const MatternToken& token) override {

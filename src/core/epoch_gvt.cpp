@@ -121,6 +121,23 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
   }
 }
 
+bool EpochGvt::tick_pending(const WorkerCtx& worker) const {
+  // One clause per step of worker_tick, in its order.
+  if (phase_ == Phase::kIdle && !node_.stopped()) return true;    // opens the pipeline
+  if (phase_ != Phase::kIdle && worker.gvt.epoch < round_) return true;  // join
+  if (worker_held(worker) && worker.has_mail()) return true;
+  return phase_ == Phase::kBroadcast && worker.gvt.epoch == round_ && !worker.gvt.adopted;
+}
+
+bool EpochGvt::agent_pending() const {
+  // One clause per step of agent_tick, in its order.
+  if (node_.cfg().has_dedicated_mpi() && sync_ &&
+      ((agent_prejoin_epoch_ < round_ && phase_ != Phase::kIdle) ||
+       (agent_postfossil_epoch_ < round_ && phase_ == Phase::kBroadcast)))
+    return true;
+  return phase_ == Phase::kReduce;
+}
+
 Process EpochGvt::agent_tick(WorkerCtx* self) {
   // The dedicated MPI thread is a party of a synchronous epoch's two
   // barriers. The joined-epoch markers are recorded BEFORE the await:

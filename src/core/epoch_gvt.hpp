@@ -74,6 +74,8 @@ class EpochGvt : public GvtAlgorithm {
 
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
+  bool tick_pending(const WorkerCtx& worker) const override;
+  bool agent_pending() const override;
 
   void on_token(const MatternToken& token) override {
     (void)token;

@@ -26,8 +26,8 @@ GvtAlgorithm::GvtAlgorithm(NodeRuntime& node)
       tier_sync_metric_(node.metrics(), "gvt.tier.sync"),
       tier_metric_(node.metrics(), "gvt.tier") {}
 
-bool GvtAlgorithm::round_due(const WorkerCtx& worker) const {
-  if (worker.gvt.iters_since_round >= node_.cfg().gvt_interval) return true;
+bool GvtAlgorithm::round_due(const WorkerCtx& worker, int ahead) const {
+  if (worker.gvt.iters_since_round + ahead >= node_.cfg().gvt_interval) return true;
   for (const auto& hook : hooks_)
     if (hook->round_requested()) return true;
   return false;

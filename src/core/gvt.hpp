@@ -9,12 +9,14 @@
 //  * on_send/on_recv  — synchronous hooks on every off-thread event
 //                       message at the moment a worker sends/reads it
 //                       (message colouring + counting).
-//  * worker_tick      — once per worker loop iteration; runs rounds, may
-//                       block the worker (barriers) or be a cheap no-op.
-//  * agent_tick       — once per MPI-agent progress iteration. The agent
-//                       is the dedicated MPI thread when one exists,
-//                       otherwise worker 0 (which then performs agent
-//                       duties inside its own worker_tick).
+//  * worker_tick      — once per worker loop iteration in which
+//                       tick_pending holds; runs rounds, may block the
+//                       worker (barriers).
+//  * agent_tick       — once per MPI-agent progress iteration in which
+//                       agent_pending holds. The agent is the dedicated
+//                       MPI thread when one exists, otherwise worker 0
+//                       (which then performs agent duties inside its own
+//                       worker_tick).
 //  * on_token         — a Mattern-style control message arrived.
 #pragma once
 
@@ -61,6 +63,17 @@ class GvtAlgorithm {
   /// `self` is the worker carrying MPI duty when the agent runs inline
   /// (combined/everywhere placements); nullptr on a dedicated MPI thread.
   virtual metasim::Process agent_tick(WorkerCtx* self) = 0;
+
+  /// Would worker_tick do anything for `worker` after one more loop
+  /// iteration (round_due at iters_since_round + 1)? Each clause mirrors a
+  /// branch of worker_tick. The worker loop calls worker_tick only when
+  /// this holds, and the idle-poll predicate (NodeRuntime::
+  /// worker_pass_pending) asks it before a pass even starts, so a wrong
+  /// `false` changes every run rather than only the skipped passes.
+  virtual bool tick_pending(const WorkerCtx& worker) const = 0;
+  /// The same for agent_tick, on either kind of agent. The default keeps
+  /// every agent pass.
+  virtual bool agent_pending() const { return true; }
   virtual void on_token(const MatternToken& token) = 0;
 
   /// May the MPI agent exit once the node has stopped? Guards against
@@ -111,7 +124,9 @@ class GvtAlgorithm {
 
   /// Is a round due for this worker: its interval clock ran out, or a hook
   /// requests one (flow's red pressure forces fossil collection)?
-  bool round_due(const WorkerCtx& worker) const;
+  /// `ahead` more loop iterations count toward the interval clock
+  /// (tick_pending asks before the pass's own increment).
+  bool round_due(const WorkerCtx& worker, int ahead = 0) const;
 
   /// Open the next round (++round_): the hooks fix its plan and migration
   /// commitment (the first node to ask fixes the cluster-wide answer;

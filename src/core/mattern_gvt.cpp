@@ -134,6 +134,32 @@ Process MatternGvt::worker_tick(WorkerCtx& worker) {
   }
 }
 
+bool MatternGvt::tick_pending(const WorkerCtx& worker) const {
+  // One clause per step of worker_tick, in its order.
+  if (phase_ == Phase::kIdle && round_due(worker, 1)) return true;  // begin + join
+  if (phase_ == Phase::kRed && worker.gvt.color != cur_color_) return true;
+  if (worker_held(worker) && worker.has_mail()) return true;
+  if (worker.gvt.color != cur_color_) return false;
+  return (phase_ == Phase::kCollect && !worker.gvt.contributed) ||
+         (phase_ == Phase::kBroadcast && !worker.gvt.adopted);
+}
+
+bool MatternGvt::agent_pending() const {
+  // One clause per step of agent_tick, in its order.
+  if (node_.cfg().has_dedicated_mpi() && sync_ &&
+      ((agent_stage_ == 0 && phase_ != Phase::kIdle) ||
+       (agent_stage_ == 1 && phase_ == Phase::kCollect) ||
+       (agent_stage_ == 2 && phase_ == Phase::kBroadcast)))
+    return true;
+  if (phase_ == Phase::kIdle && agent_stage_ != 0) return true;
+  if (phase_ == Phase::kRed && red_count_ == node_.cfg().workers_per_node() && !counting_done_)
+    return true;
+  if (phase_ == Phase::kCollect && node_.rank() == 0 && !collect_forwarded_ &&
+      contributions_ == node_.cfg().workers_per_node())
+    return true;
+  return have_token_;
+}
+
 Process MatternGvt::agent_tick(WorkerCtx* self) {
   const int workers = node_.cfg().workers_per_node();
 

@@ -71,6 +71,8 @@ class MatternGvt : public GvtAlgorithm {
 
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
+  bool tick_pending(const WorkerCtx& worker) const override;
+  bool agent_pending() const override;
 
   void on_token(const MatternToken& token) override {
     CAGVT_CHECK_MSG(!have_token_, "two GVT control messages at one node");

@@ -94,6 +94,7 @@ NodeRuntime::NodeRuntime(const ClusterServices& cluster, int node_id)
   }
   for (const auto& hook : cluster.hooks)
     if (hook->in_worker_loop()) loop_hooks_.push_back(hook.get());
+  idle_polls_ = cluster.faults == nullptr && loop_hooks_.empty();
 }
 
 void NodeRuntime::start() {
@@ -104,9 +105,40 @@ void NodeRuntime::start() {
   for (auto& worker : workers_) {
     worker->kernel.init();
     for (const auto& hook : hooks()) hook->attach(*worker);
+    if (idle_polls_) worker->poller = engine().add_poller(*worker, cfg().cluster.idle_poll);
     spawn(engine(), worker_main(*worker));
   }
-  if (cfg().has_dedicated_mpi()) spawn(engine(), mpi_main());
+  if (cfg().has_dedicated_mpi()) {
+    if (idle_polls_) agent_poll_id_ = engine().add_poller(agent_poller_, cfg().cluster.mpi_poll);
+    spawn(engine(), mpi_main());
+  }
+}
+
+bool WorkerCtx::pass_pending() { return node.worker_pass_pending(*this); }
+
+bool NodeRuntime::combined_mpi_due(const WorkerCtx& worker) const {
+  return worker.mpi_duty && cfg().mpi == MpiPlacement::kCombined &&
+         worker.iterations % static_cast<std::uint64_t>(cfg().combined_mpi_poll_period) == 0;
+}
+
+bool NodeRuntime::worker_pass_pending(WorkerCtx& worker) {
+  // Only runs without a fault engine and without loop hooks poll, so the
+  // fault check and the hook steps never act here.
+  if (stop_ && gvt_->worker_done(worker)) return true;  // the loop exits
+  if (combined_mpi_due(worker)) return true;
+  if (cfg().mpi == MpiPlacement::kEverywhere && !fabric().inbox(node_id_).empty()) return true;
+  if (!gvt_->worker_held(worker) &&
+      (worker.has_mail() ||
+       worker.kernel.local_min_ts() <= std::min(gvt_->clamp().bound(), cfg().end_vt)))
+    return true;
+  if (worker.mpi_duty && gvt_->agent_pending()) return true;
+  return gvt_->tick_pending(worker);
+}
+
+bool NodeRuntime::agent_pass_pending() {
+  if (stop_ && gvt_->agent_done()) return true;  // the loop exits
+  if (!mpi_outbox_.items.empty() || !fabric().inbox(node_id_).empty()) return true;
+  return gvt_->agent_pending();
 }
 
 std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_t round) {
@@ -132,9 +164,7 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
       continue;
     }
     bool did_work = false;
-    if (worker.mpi_duty && cfg().mpi == MpiPlacement::kCombined &&
-        worker.iterations % static_cast<std::uint64_t>(cfg().combined_mpi_poll_period) == 0)
-      co_await mpi_progress(&did_work);
+    if (combined_mpi_due(worker)) co_await mpi_progress(&did_work);
     if (cfg().mpi == MpiPlacement::kEverywhere)
       co_await receive_arrivals(worker.index_in_node, &did_work);
 
@@ -182,9 +212,14 @@ Process NodeRuntime::worker_main(WorkerCtx& worker) {
 
     ++worker.iterations;
     ++worker.gvt.iters_since_round;
-    if (worker.mpi_duty) co_await gvt_->agent_tick(&worker);
-    co_await gvt_->worker_tick(worker);
-    if (!did_work) co_await delay(cpu(cfg().cluster.idle_poll));
+    if (worker.mpi_duty && gvt_->agent_pending()) co_await gvt_->agent_tick(&worker);
+    if (gvt_->tick_pending(worker)) co_await gvt_->worker_tick(worker);
+    if (did_work) continue;
+    if (idle_polls_) {
+      co_await metasim::idle_poll(worker.poller);
+    } else {
+      co_await delay(cpu(cfg().cluster.idle_poll));
+    }
   }
 }
 
@@ -196,8 +231,13 @@ Process NodeRuntime::mpi_main() {
     }
     bool did_work = false;
     co_await mpi_progress(&did_work);
-    co_await gvt_->agent_tick(nullptr);
-    if (!did_work) co_await delay(cpu(cfg().cluster.mpi_poll));
+    if (gvt_->agent_pending()) co_await gvt_->agent_tick(nullptr);
+    if (did_work) continue;
+    if (idle_polls_) {
+      co_await metasim::idle_poll(agent_poll_id_);
+    } else {
+      co_await delay(cpu(cfg().cluster.mpi_poll));
+    }
   }
 }
 

@@ -59,7 +59,10 @@ struct GvtThreadState {
   DecidedWindow decided;
 };
 
-struct WorkerCtx {
+/// One worker thread. As an idle poller it answers, for each of its idle
+/// passes, whether the pass would do anything (NodeRuntime::
+/// worker_pass_pending); a skipped pass counts its iteration.
+struct WorkerCtx final : metasim::IdlePoller {
   WorkerCtx(NodeRuntime& node_rt, metasim::Engine& engine, const net::ClusterSpec& spec,
             const pdes::Model& model, const pdes::LpMap& map, int global_worker_idx,
             pdes::KernelConfig kcfg, bool duty)
@@ -86,6 +89,17 @@ struct WorkerCtx {
   /// but not yet handed to the engine — ROSS defers rollback processing
   /// until the round is over.
   std::vector<pdes::Event> round_buffer;
+  /// Engine poller id, when the node elides idle passes.
+  std::uint32_t poller = 0;
+
+  /// Anything in either inbox (the drain's unsynchronized peek).
+  bool has_mail() const { return !regional_in.items.empty() || !remote_in.items.empty(); }
+
+  bool pass_pending() override;
+  void skip_pass() override {
+    ++iterations;
+    ++gvt.iters_since_round;
+  }
 };
 
 /// Two-level reduction/barrier used by the GVT algorithms: a node-level
@@ -256,6 +270,12 @@ class NodeRuntime {
   /// Charge the costs of an engine outcome and route its external events.
   metasim::Process handle_outcome(WorkerCtx& worker, pdes::Outcome outcome);
 
+  /// Idle-poll predicates: would the worker's (the dedicated MPI
+  /// thread's) pass dispatched now do anything besides re-arming its poll?
+  /// Each clause mirrors one step of worker_main (mpi_main).
+  bool worker_pass_pending(WorkerCtx& worker);
+  bool agent_pass_pending();
+
   /// Restore round, at the node's last rewound worker: reset the node's
   /// data-plane transport to a checkpoint's cursors under `epoch`.
   void restore_transport(std::uint32_t epoch, const net::TransportSnapshot& snapshot);
@@ -288,6 +308,9 @@ class NodeRuntime {
   metasim::Process halt_if_down();
 
   metasim::Process worker_main(WorkerCtx& worker);
+  /// Combined placement: the MPI-duty worker's pass runs MPI progress on
+  /// every combined_mpi_poll_period-th iteration.
+  bool combined_mpi_due(const WorkerCtx& worker) const;
   metasim::Process mpi_main();
   metasim::Process send_event(WorkerCtx& worker, pdes::Event event);
   /// Unpack the node's network arrivals: events are forwarded toward a
@@ -304,10 +327,24 @@ class NodeRuntime {
   /// deposited.
   metasim::Process dispatch_received(WorkerCtx& worker, const pdes::Event& event);
 
+  /// The dedicated MPI thread as an idle poller; its passes keep no count.
+  struct AgentPoller final : metasim::IdlePoller {
+    explicit AgentPoller(NodeRuntime& node_rt) : node(node_rt) {}
+    bool pass_pending() override { return node.agent_pass_pending(); }
+    void skip_pass() override {}
+    NodeRuntime& node;
+  };
+
   const ClusterServices& cluster_;
   int node_id_;
   /// The hooks inside the worker loop (RoundHook::in_worker_loop).
   std::vector<RoundHook*> loop_hooks_;
+  /// Idle passes end in idle polls rather than plain delays. Runs with a
+  /// fault engine (which scales poll periods and takes nodes down) or with
+  /// loop hooks (whose batch_tick runs every pass) keep every pass.
+  bool idle_polls_ = false;
+  AgentPoller agent_poller_{*this};
+  std::uint32_t agent_poll_id_ = 0;
   obs::CounterHandle regional_msgs_metric_;
   obs::CounterHandle remote_msgs_metric_;
 

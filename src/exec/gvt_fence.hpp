@@ -79,10 +79,12 @@ class GvtFence {
   /// policy (queue occupancy / low efficiency) rather than plain cadence;
   /// such rounds are tallied as synchronous, mirroring the coroutine
   /// backend's sync_rounds statistic. Idempotent and callable from any
-  /// thread outside a round.
-  void announce(bool control = false) {
+  /// thread outside a round. Returns whether this call raised the flag,
+  /// i.e. whether the next round is this announce's (at most one announce
+  /// per round returns true).
+  bool announce(bool control = false) {
     if (control) control_announce_.store(true, std::memory_order_release);
-    announce_.store(true, std::memory_order_release);
+    return !announce_.exchange(true, std::memory_order_acq_rel);
   }
   bool announced() const { return announce_.load(std::memory_order_acquire); }
 

@@ -194,9 +194,10 @@ void ThreadEngine::worker_main(int w) {
       // Pressure signaling through the fence: pull the fleet into a round so
       // the adopted GVT can fossil-collect the pool. One announce per round —
       // re-announcing while the round is pending would only re-arm the fence.
-      fence_->announce();
+      // The round counts as forced only if this announce raised the flag
+      // (otherwise the cadence or another red worker already had).
+      if (fence_->announce()) ++self.forced_rounds;
       self.red_announced = true;
-      ++self.forced_rounds;
     }
     maybe_announce(self, w);
     if (fence_->announced()) {

@@ -88,7 +88,7 @@ class ThreadEngine {
     // --- overload protection (--flow=bounded), all owner-thread-only ------
     flow::WorkerThrottle throttle;
     bool red_announced = false;  // one forced announce per round
-    std::uint64_t forced_rounds = 0;
+    std::uint64_t forced_rounds = 0;  // rounds this worker's red announce opened
 
     // --- GVT trigger-policy clamp (CA-GVT / epoch tiers), owner-thread-only.
     // Composes with the flow clamp by std::min in the worker loop.

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
 #include <utility>
 
@@ -128,6 +129,22 @@ inline DelayAwaiter delay(SimTime amount) {
   CAGVT_ASSERT(amount >= 0);
   return DelayAwaiter{amount};
 }
+
+/// co_await idle_poll(poller): end a pass that found nothing to do, like
+/// delay(period) with the poller's registered period, but as an idle poll
+/// (Engine::poll_at): later passes that would find nothing either are
+/// skipped without resuming this coroutine.
+struct IdlePollAwaiter {
+  std::uint32_t poller;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(Process::Handle h) const {
+    Engine* engine = h.promise().engine;
+    engine->poll_at(engine->now() + engine->poll_period(poller), h, poller);
+  }
+  void await_resume() const noexcept {}
+};
+
+inline IdlePollAwaiter idle_poll(std::uint32_t poller) { return IdlePollAwaiter{poller}; }
 
 /// co_await yield(): reschedule at the current time, behind already-queued
 /// continuations.

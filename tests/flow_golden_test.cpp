@@ -241,6 +241,9 @@ TEST(FlowThreadsTest, ThreadsBackendBoundedMatchesOracle) {
     EXPECT_EQ(r.state_hash, ref.state_hash()) << to_string(kind);
     EXPECT_GT(r.peak_event_pool, 0u) << to_string(kind);
     EXPECT_GT(r.flow_throttle_engagements, 0u) << to_string(kind);
+    // A forced round is one a red announce opened, as on the coroutine
+    // backend: never more of them than rounds.
+    EXPECT_LE(r.flow_forced_rounds, r.gvt_rounds) << to_string(kind);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <ostream>
+#include <string>
 
 #include "models/phold.hpp"
 #include "pdes/kernel.hpp"
@@ -199,10 +200,14 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{8, 1, 4, 4, 0.5, 0.0, 7},   // remote-only traffic
         GoldenCase{1, 8, 2, 6, 0.0, 0.9, 8}),  // tiny LPs, extreme lag
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      // Appended piece by piece: GCC 12's -Wrestrict misfires on a chain of
+      // operator+ over temporaries in Release builds.
       const auto& c = info.param;
-      return "n" + std::to_string(c.nodes) + "w" + std::to_string(c.workers) + "lp" +
-             std::to_string(c.lps) + "lag" + std::to_string(c.lag) + "s" +
-             std::to_string(c.seed);
+      std::string name = "n";
+      name.append(std::to_string(c.nodes)).append("w").append(std::to_string(c.workers));
+      name.append("lp").append(std::to_string(c.lps)).append("lag");
+      name.append(std::to_string(c.lag)).append("s").append(std::to_string(c.seed));
+      return name;
     });
 
 TEST(GoldenTest, TestModelChainAcrossKernels) {
