@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: 24 deterministic phold_cluster runs whose trace CSV,
+# Refactor oracle: 25 deterministic phold_cluster runs whose trace CSV,
 # metrics CSV and stdout a behaviour-preserving change must leave
 # byte-identical.
 #
@@ -15,12 +15,15 @@
 #
 # Together the runs cover a restore, migrations, flow throttling, and the
 # throttle and sync tiers of every GVT kind; the two *-all runs compose
-# every controller in one run. The runs without a fault schedule, --flow
-# or --sync (the *-plain and *-lb runs, epoch-combined, ca-everywhere) skip
-# idle passes (DESIGN §14 "Idle polls"); two plain runs cover that in the
-# combined and everywhere placements. Exits non-zero on a usage error or when a
-# run fails to start; a run's own exit status (2 = incomplete) is recorded
-# in its .out file and does not stop the sweep.
+# every controller in one run, and mattern-ctl composes lb, flow and
+# checkpoints without a fault schedule. Every run without a fault schedule
+# (all but the *-crash and *-all runs) skips idle passes (DESIGN §14 "Idle
+# polls"): the *-flow runs, mattern-ctl and mattern-window through the
+# hooks' loop_pending answers, while ca-cmb keeps every worker pass and
+# skips only MPI-agent passes; two plain runs cover the combined and
+# everywhere placements. Exits non-zero on a usage error or when a run fails
+# to start; a run's own exit status (2 = incomplete) is recorded in its .out
+# file and does not stop the sweep.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -48,6 +51,7 @@ runs+=("epoch-combined|--gvt=epoch --mpi=combined --ckpt-every=3 --lb=roughness 
 runs+=("ca-everywhere|--gvt=ca-gvt --mpi=everywhere --model=imbalanced-phold --lb=roughness")
 runs+=("mattern-combined-plain|--gvt=mattern --mpi=combined")
 runs+=("ca-everywhere-plain|--gvt=ca-gvt --mpi=everywhere")
+runs+=("mattern-ctl|--gvt=mattern --model=imbalanced-phold --lb=roughness --flow=bounded,mem=64 --ckpt-every=3")
 all="--model=imbalanced-phold --lb=roughness --flow=bounded,mem=64 --ckpt-every=3 --fault=crash:node=1,t=5,down=2"
 runs+=("mattern-all|--gvt=mattern $all")
 runs+=("barrier-combined-all|--gvt=barrier --mpi=combined $all")

@@ -78,6 +78,12 @@ class Controller final : public core::RoundHook {
   pdes::VirtualTime exec_bound(int worker) const override { return bound(worker); }
   void batch_tick(core::WorkerCtx& worker, int processed,
                   std::vector<pdes::Event>& out) override;
+  /// An idle window tick only counts itself (skip_tick credits the count);
+  /// a cmb tick may answer demand, so cmb keeps every pass.
+  bool loop_pending(const core::WorkerCtx& /*worker*/) const override {
+    return cfg_.kind == SyncKind::kCmb;
+  }
+  void skip_tick(core::WorkerCtx& /*worker*/) override { ++ticks_total_; }
   /// Advance the window bound and sample the time-horizon width from the
   /// per-worker LVTs.
   void adopt(std::uint64_t round, core::WorkerCtx& worker, double gvt) override;

@@ -46,7 +46,8 @@ class RoundHook {
 
   /// Hooks inside the worker loop say so once; only those are asked for
   /// exec_bound (the largest recv_ts the worker may execute) before every
-  /// event and for batch_tick / batch_release after every batch.
+  /// event, for batch_tick / batch_release after every batch, and for
+  /// loop_pending / skip_tick on every idle pass.
   virtual bool in_worker_loop() const { return false; }
   virtual pdes::VirtualTime exec_bound(int /*worker*/) const { return pdes::kVtInfinity; }
 
@@ -57,6 +58,16 @@ class RoundHook {
   virtual void batch_tick(WorkerCtx& /*worker*/, int /*processed*/,
                           std::vector<pdes::Event>& /*out*/) {}
   virtual void batch_release(WorkerCtx& /*worker*/, std::vector<pdes::Event>& /*out*/) {}
+
+  /// The idle-poll question (DESIGN §14 "Idle polls"): would batch_tick
+  /// with nothing processed, or batch_release, change anything for
+  /// `worker` right now, apart from what skip_tick credits? A wrong
+  /// `false` skips a pass that would have acted, so the default, `true`,
+  /// means "cannot tell" and keeps every pass.
+  virtual bool loop_pending(const WorkerCtx& /*worker*/) const { return true; }
+  /// A pass loop_pending said `false` to was skipped: credit what its
+  /// batch_tick(…, 0, …) would have counted.
+  virtual void skip_tick(WorkerCtx& /*worker*/) {}
 
   /// Round `round` opens; a hook may also want a round now, whatever the
   /// interval clock says.

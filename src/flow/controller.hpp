@@ -81,6 +81,10 @@ class Controller final : public core::RoundHook {
   /// guarantees GVT progress and termination). Rate-limited per call.
   void batch_release(core::WorkerCtx& worker, std::vector<pdes::Event>& out) override;
 
+  /// Exact: true iff batch_tick(worker, 0, ...) or batch_release would
+  /// change anything (flow credits nothing on a skipped pass).
+  bool loop_pending(const core::WorkerCtx& worker) const override;
+
   /// True when red pressure wants a fossil-collection round forced through
   /// the GVT algorithm's begin-round trigger.
   bool round_requested() const override { return round_requested_; }
@@ -129,6 +133,15 @@ class Controller final : public core::RoundHook {
 
   static constexpr std::int64_t kMaxHoldRounds = 2;
   static constexpr std::size_t kReleaseBatch = 64;
+
+  /// The worker's event pool: pending events + uncommitted history.
+  static std::uint64_t pool_of(const core::WorkerCtx& worker);
+  /// The worker's effective budget (the configured one, capped by a `mem:`
+  /// squeeze).
+  std::uint64_t budget(int worker) const;
+  /// May batch_release re-deliver `p` (hold expired, or its destination is
+  /// green or unknown)?
+  bool releasable(const Parked& p) const;
 
   FlowConfig cfg_;
   const fault::FaultEngine* faults_;

@@ -41,6 +41,15 @@ class WorkerThrottle {
     return tier_;
   }
 
+  /// Would classify(pool, budget) change anything: the tier, or (off
+  /// green) the clamp, which engage() engages when free and slides when
+  /// below last GVT + clamp?
+  bool classify_acts(std::uint64_t pool, std::uint64_t budget) const {
+    const core::PressureTier tier = core::FlowPressurePolicy{budget}.classify(pool);
+    return tier != tier_ || (tier != core::PressureTier::kGreen &&
+                             (!clamp_.engaged() || clamp_.bound() < gvt_ + width_));
+  }
+
   /// Per round, at adoption of `gvt`: fold the storm detector, then step
   /// the clamp's hysteresis (stressed = storming or off green on the last
   /// batch; cons::Clamp::step). Returns true when the storm state flipped.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "core/simulation.hpp"
@@ -29,6 +30,14 @@ struct PerturbedCase {
   /// traffic may dodge a sparse loss window).
   bool expect_drops = false;
 };
+
+// ctest names each discovered case after the printed parameter; without a
+// printer gtest dumps the struct's bytes, and these are string pointers, so
+// the name would change with the load address from one run to the next.
+void PrintTo(const PerturbedCase& c, std::ostream* os) {
+  *os << c.schedule;
+  if (c.ckpt_every > 0) *os << " ckpt-every=" << c.ckpt_every;
+}
 
 class PerturbedGolden : public ::testing::TestWithParam<PerturbedCase> {};
 
