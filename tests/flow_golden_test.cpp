@@ -19,7 +19,9 @@
 #include "lb/lb_config.hpp"
 #include "models/hotspot_phold.hpp"
 #include "models/phold.hpp"
+#include "models/registry.hpp"
 #include "pdes/seqref.hpp"
+#include "util/config.hpp"
 
 namespace cagvt::core {
 namespace {
@@ -203,6 +205,33 @@ TEST(FlowGoldenMatrix, CancelbackComposesWithCrashRecovery) {
       }
     }
   }
+}
+
+TEST(FlowGoldenMatrix, ForcedRoundsNeverOutnumberRounds) {
+  // `phold_cluster --nodes=2 --end=20 --flow=bounded,mem=32,clamp=2` with
+  // the CLI's defaults. Red pressure raises a forced-round request on
+  // nearly every round here; a request that never got a round of its own
+  // must not count as one.
+  SimulationConfig cfg;
+  cfg.nodes = 2;
+  cfg.threads_per_node = 7;
+  cfg.lps_per_worker = 32;
+  cfg.end_vt = 20.0;
+  apply_gvt_spec(cfg, "ca-gvt");
+  cfg.gvt_interval = 12;
+  cfg.ca_efficiency_threshold = 0.8;
+  cfg.batch = 4;
+  cfg.seed = 1;
+  cfg.flow = flow::parse_flow("bounded,mem=32,clamp=2");
+  const pdes::LpMap map = Simulation::make_map(cfg);
+  const char* const argv[] = {"phold_cluster"};
+  const auto model = models::make_model("phold", Options::parse(1, argv), map, cfg.end_vt);
+
+  Simulation sim(cfg, *model);
+  const SimulationResult r = sim.run(120.0);
+  ASSERT_TRUE(r.completed);
+  EXPECT_GT(r.flow_forced_rounds, 0u);
+  EXPECT_LE(r.flow_forced_rounds, r.gvt_rounds);
 }
 
 // Named for the TSan CI lane (-R ...|FlowThreadsTest): the threads-backend
