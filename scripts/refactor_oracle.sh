@@ -4,14 +4,15 @@
 # byte-identical.
 #
 #   scripts/refactor_oracle.sh BUILD_DIR OUT_DIR
+#   scripts/refactor_oracle.sh --compare OLD_DIR NEW_DIR
 #
-# Runs BUILD_DIR/examples/phold_cluster once per configuration and writes
-# <name>.trace.csv, <name>.metrics.csv and <name>.out into OUT_DIR. The
-# runs execute inside OUT_DIR with relative output paths, because stdout
-# echoes those paths; that way stdout compares too. Run it for two builds
-# (or twice for one build) and compare:
-#
-#   for f in old/*; do cmp "$f" "new/${f#old/}"; done
+# The first form runs BUILD_DIR/examples/phold_cluster once per
+# configuration and writes <name>.trace.csv, <name>.metrics.csv and
+# <name>.out into OUT_DIR. The runs execute inside OUT_DIR with relative
+# output paths, because stdout echoes those paths; that way stdout compares
+# too. Run it for two builds (or twice for one build), then compare the two
+# output directories with the second form: it cmps all 75 files, names each
+# run whose files differ or are missing, and exits 1 if any run does.
 #
 # Together the runs cover a restore, migrations, flow throttling, and the
 # throttle and sync tiers of every GVT kind; the two *-all runs compose
@@ -25,18 +26,6 @@
 # to start; a run's own exit status (2 = incomplete) is recorded in its .out
 # file and does not stop the sweep.
 set -euo pipefail
-
-if [ $# -ne 2 ]; then
-  echo "usage: $0 BUILD_DIR OUT_DIR" >&2
-  exit 64
-fi
-if ! build=$(cd "$1" 2>/dev/null && pwd) || [ ! -x "$build/examples/phold_cluster" ]; then
-  echo "error: $1/examples/phold_cluster not found or not executable" >&2
-  exit 66
-fi
-bin=$build/examples/phold_cluster
-mkdir -p "$2"
-cd "$2"
 
 runs=()
 for g in barrier mattern ca-gvt epoch; do
@@ -55,6 +44,37 @@ runs+=("mattern-ctl|--gvt=mattern --model=imbalanced-phold --lb=roughness --flow
 all="--model=imbalanced-phold --lb=roughness --flow=bounded,mem=64 --ckpt-every=3 --fault=crash:node=1,t=5,down=2"
 runs+=("mattern-all|--gvt=mattern $all")
 runs+=("barrier-combined-all|--gvt=barrier --mpi=combined $all")
+
+want=2
+[ "${1:-}" = --compare ] && want=3
+if [ $# -ne "$want" ]; then
+  echo "usage: $0 BUILD_DIR OUT_DIR | $0 --compare OLD_DIR NEW_DIR" >&2
+  exit 64
+fi
+
+if [ "$1" = --compare ]; then
+  differ=0
+  for r in "${runs[@]}"; do
+    name=${r%%|*}
+    for ext in trace.csv metrics.csv out; do
+      if ! cmp -s "$2/$name.$ext" "$3/$name.$ext"; then
+        echo "differs: $name"
+        differ=$((differ + 1))
+        break
+      fi
+    done
+  done
+  echo "$differ of ${#runs[@]} runs differ"
+  exit $((differ > 0))
+fi
+
+if ! build=$(cd "$1" 2>/dev/null && pwd) || [ ! -x "$build/examples/phold_cluster" ]; then
+  echo "error: $1/examples/phold_cluster not found or not executable" >&2
+  exit 66
+fi
+bin=$build/examples/phold_cluster
+mkdir -p "$2"
+cd "$2"
 
 for r in "${runs[@]}"; do
   name=${r%%|*}

@@ -5,7 +5,6 @@ namespace cagvt::core {
 using metasim::Process;
 
 Process BarrierGvt::worker_tick(WorkerCtx& worker) {
-  if (!round_due(worker)) co_return;
   worker.gvt.iters_since_round = 0;
 
   // In combined/everywhere placements worker 0 doubles as the MPI agent

@@ -37,7 +37,9 @@ class BarrierGvt final : public GvtAlgorithm {
 
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
-  bool tick_pending(const WorkerCtx& worker) const override { return round_due(worker, 1); }
+  bool tick_pending(const WorkerCtx& worker, int ahead) const override {
+    return round_due(worker, ahead);
+  }
   bool agent_pending() const override {
     return node_.cfg().has_dedicated_mpi() && round_active_;
   }

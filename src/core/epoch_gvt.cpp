@@ -121,7 +121,7 @@ Process EpochGvt::worker_tick(WorkerCtx& worker) {
   }
 }
 
-bool EpochGvt::tick_pending(const WorkerCtx& worker) const {
+bool EpochGvt::tick_pending(const WorkerCtx& worker, int /*ahead*/) const {
   // One clause per step of worker_tick, in its order.
   if (phase_ == Phase::kIdle && !node_.stopped()) return true;    // opens the pipeline
   if (phase_ != Phase::kIdle && worker.gvt.epoch < round_) return true;  // join

@@ -10,8 +10,9 @@
 //                       message at the moment a worker sends/reads it
 //                       (message colouring + counting).
 //  * worker_tick      — once per worker loop iteration in which
-//                       tick_pending holds; runs rounds, may block the
-//                       worker (barriers).
+//                       tick_pending holds (the guard of the pass's GVT
+//                       tick step, NodeRuntime::Step); runs rounds, may
+//                       block the worker (barriers).
 //  * agent_tick       — once per MPI-agent progress iteration in which
 //                       agent_pending holds. The agent is the dedicated
 //                       MPI thread when one exists, otherwise worker 0
@@ -64,13 +65,14 @@ class GvtAlgorithm {
   /// (combined/everywhere placements); nullptr on a dedicated MPI thread.
   virtual metasim::Process agent_tick(WorkerCtx* self) = 0;
 
-  /// Would worker_tick do anything for `worker` after one more loop
-  /// iteration (round_due at iters_since_round + 1)? Each clause mirrors a
-  /// branch of worker_tick. The worker loop calls worker_tick only when
-  /// this holds, and the idle-poll predicate (NodeRuntime::
-  /// worker_pass_pending) asks it before a pass even starts, so a wrong
-  /// `false` changes every run rather than only the skipped passes.
-  virtual bool tick_pending(const WorkerCtx& worker) const = 0;
+  /// Would worker_tick do anything for `worker` once `ahead` more loop
+  /// iterations are counted? Each clause mirrors a branch of worker_tick.
+  /// It is the guard of the worker pass's GVT-tick step
+  /// (NodeRuntime::Step): the loop asks with ahead 0 after counting the
+  /// pass, the idle-poll predicate with ahead 1 before, so both see the
+  /// same count, and a wrong `false` changes every run rather than only the
+  /// skipped passes.
+  virtual bool tick_pending(const WorkerCtx& worker, int ahead) const = 0;
   /// The same for agent_tick, on either kind of agent. The default keeps
   /// every agent pass.
   virtual bool agent_pending() const { return true; }
@@ -125,7 +127,7 @@ class GvtAlgorithm {
   /// Is a round due for this worker: its interval clock ran out, or a hook
   /// requests one (flow's red pressure forces fossil collection)?
   /// `ahead` more loop iterations count toward the interval clock
-  /// (tick_pending asks before the pass's own increment).
+  /// (tick_pending's `ahead`).
   bool round_due(const WorkerCtx& worker, int ahead = 0) const;
 
   /// Open the next round (++round_): the hooks fix its plan and migration

@@ -134,9 +134,9 @@ Process MatternGvt::worker_tick(WorkerCtx& worker) {
   }
 }
 
-bool MatternGvt::tick_pending(const WorkerCtx& worker) const {
+bool MatternGvt::tick_pending(const WorkerCtx& worker, int ahead) const {
   // One clause per step of worker_tick, in its order.
-  if (phase_ == Phase::kIdle && round_due(worker, 1)) return true;  // begin + join
+  if (phase_ == Phase::kIdle && round_due(worker, ahead)) return true;  // begin + join
   if (phase_ == Phase::kRed && worker.gvt.color != cur_color_) return true;
   if (worker_held(worker) && worker.has_mail()) return true;
   if (worker.gvt.color != cur_color_) return false;

@@ -71,7 +71,7 @@ class MatternGvt : public GvtAlgorithm {
 
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
-  bool tick_pending(const WorkerCtx& worker) const override;
+  bool tick_pending(const WorkerCtx& worker, int ahead) const override;
   bool agent_pending() const override;
 
   void on_token(const MatternToken& token) override {

@@ -1,5 +1,8 @@
 #include "core/node_runtime.hpp"
 
+#include <span>
+#include <utility>
+
 namespace cagvt::core {
 
 using metasim::delay;
@@ -106,20 +109,16 @@ void NodeRuntime::start() {
     worker->kernel.init();
     for (const auto& hook : hooks()) hook->attach(*worker);
     if (idle_polls_) worker->poller = engine().add_poller(*worker, cfg().cluster.idle_poll);
-    spawn(engine(), worker_main(*worker));
+    spawn(engine(), thread_main(worker.get()));
   }
   if (cfg().has_dedicated_mpi()) {
     if (idle_polls_) agent_poll_id_ = engine().add_poller(agent_poller_, cfg().cluster.mpi_poll);
-    spawn(engine(), mpi_main());
+    spawn(engine(), thread_main(nullptr));
   }
 }
 
-bool WorkerCtx::pass_pending() { return node.worker_pass_pending(*this); }
-
-bool NodeRuntime::combined_mpi_due(const WorkerCtx& worker) const {
-  return worker.mpi_duty && cfg().mpi == MpiPlacement::kCombined &&
-         worker.iterations % static_cast<std::uint64_t>(cfg().combined_mpi_poll_period) == 0;
-}
+bool WorkerCtx::pass_pending() { return node.pass_pending(this); }
+void WorkerCtx::skip_pass() { node.skip_pass(*this); }
 
 double NodeRuntime::hooks_bound(const WorkerCtx& worker) const {
   double bound = pdes::kVtInfinity;
@@ -134,31 +133,79 @@ bool NodeRuntime::hooks_pending(const WorkerCtx& worker) const {
   return false;
 }
 
-bool NodeRuntime::worker_pass_pending(WorkerCtx& worker) {
-  // Only runs without a fault engine poll, so the fault check never acts
-  // here.
-  if (stop_ && gvt_->worker_done(worker)) return true;  // the loop exits
-  if (combined_mpi_due(worker)) return true;
-  if (cfg().mpi == MpiPlacement::kEverywhere && !fabric().inbox(node_id_).empty()) return true;
-  if (!gvt_->worker_held(worker)) {
-    if (worker.has_mail() ||
-        worker.kernel.local_min_ts() <= std::min(exec_bound(worker), cfg().end_vt))
-      return true;
-    if (!loop_hooks_.empty() && hooks_pending(worker)) return true;
+bool NodeRuntime::mpi_pending() const {
+  return !mpi_outbox_.items.empty() || !cluster_.fabric.inbox(node_id_).empty() ||
+         (cluster_.faults != nullptr &&
+          cluster_.faults->mpi_stall_until(node_id_) > cluster_.engine.now());
+}
+
+template <NodeRuntime::Walk kWalk>
+inline bool NodeRuntime::stops_at(Step step, Pass& pass) {
+  constexpr bool kGuards = kWalk != Walk::kCredit;
+  constexpr bool kCredits = kWalk != Walk::kProbe;
+  WorkerCtx* self = pass.self;
+  switch (step) {
+    case Step::kMpiProgress: {
+      // The dedicated MPI thread, or the combined placement's duty worker on
+      // its cadence; either only with traffic to move.
+      const auto period = static_cast<std::uint64_t>(cfg().combined_mpi_poll_period);
+      const bool due = self == nullptr || (self->mpi_duty && cfg().mpi == MpiPlacement::kCombined &&
+                                           self->iterations % period == 0);
+      return kGuards && due && mpi_pending();
+    }
+    case Step::kNodeInbox:
+      return kGuards && cfg().mpi == MpiPlacement::kEverywhere &&
+             !fabric().inbox(node_id_).empty();
+    case Step::kDrain:
+      // The held check, read once per pass; of the credits, only the loop
+      // hooks' reads it.
+      if (kGuards || !loop_hooks_.empty()) pass.held = gvt_->worker_held(*self);
+      return kGuards && !pass.held && self->has_mail();
+    case Step::kBatch:
+      return kGuards && !pass.held &&
+             self->kernel.local_min_ts() <= std::min(exec_bound(*self), cfg().end_vt);
+    case Step::kHooks:
+      if (kGuards && !pass.held && !loop_hooks_.empty() &&
+          (pass.processed > 0 || hooks_pending(*self)))
+        return true;
+      if (kCredits && !pass.held)
+        for (RoundHook* hook : loop_hooks_) hook->skip_tick(*self);
+      return false;
+    case Step::kCount:
+      if (kCredits) {
+        ++self->iterations;
+        ++self->gvt.iters_since_round;
+      }
+      return false;
+    case Step::kAgentTick:
+      return kGuards && (self == nullptr || self->mpi_duty) && gvt_->agent_pending();
+    case Step::kGvtTick:
+      // The one guard that reads a credit: the loop asks after kCount, a
+      // probe (which applies no credit) one iteration ahead.
+      return kGuards && gvt_->tick_pending(*self, kCredits ? 0 : 1);
   }
-  if (worker.mpi_duty && gvt_->agent_pending()) return true;
-  return gvt_->tick_pending(worker);
+  return false;
 }
 
-void NodeRuntime::skip_hook_ticks(WorkerCtx& worker) {
-  if (!gvt_->worker_held(worker))
-    for (RoundHook* hook : loop_hooks_) hook->skip_tick(worker);
+template <NodeRuntime::Walk kWalk, const auto& kSteps>
+bool NodeRuntime::walk(Pass& pass) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return (stops_at<kWalk>(kSteps[I], pass) || ...);
+  }(std::make_index_sequence<std::size(kSteps)>());
 }
 
-bool NodeRuntime::agent_pass_pending() {
-  if (stop_ && gvt_->agent_done()) return true;  // the loop exits
-  if (!mpi_outbox_.items.empty() || !fabric().inbox(node_id_).empty()) return true;
-  return gvt_->agent_pending();
+bool NodeRuntime::pass_pending(WorkerCtx* self) {
+  // Only runs without a fault engine poll, so the loop's fault check never
+  // acts here.
+  if (exits(self)) return true;
+  Pass pass{self};
+  return self == nullptr ? walk<Walk::kProbe, kAgentPass>(pass)
+                         : walk<Walk::kProbe, kWorkerPass>(pass);
+}
+
+void NodeRuntime::skip_pass(WorkerCtx& worker) {
+  Pass pass{&worker};
+  walk<Walk::kCredit, kWorkerPass>(pass);
 }
 
 std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_t round) {
@@ -176,84 +223,73 @@ std::uint64_t NodeRuntime::adopt_gvt(WorkerCtx& worker, double gvt, std::uint64_
   return committed;
 }
 
-Process NodeRuntime::worker_main(WorkerCtx& worker) {
+Process NodeRuntime::thread_main(WorkerCtx* self) {
+  const std::span<const Step> steps =
+      self != nullptr ? std::span<const Step>(kWorkerPass) : std::span<const Step>(kAgentPass);
   std::vector<pdes::Event> hook_out;
-  while (!stop_ || !gvt_->worker_done(worker)) {
+  while (!exits(self)) {
     if (cluster_.faults != nullptr && cluster_.faults->node_down(node_id_)) {
       co_await halt_if_down();
       continue;
     }
-    bool did_work = false;
-    if (combined_mpi_due(worker)) co_await mpi_progress(&did_work);
-    if (cfg().mpi == MpiPlacement::kEverywhere)
-      co_await receive_arrivals(worker.index_in_node, &did_work);
-
-    if (!gvt_->worker_held(worker)) {
-      co_await drain_inboxes(worker, &did_work);
-      int processed = 0;
-      for (int b = 0; b < cfg().batch; ++b) {
-        // Execution horizon: the tightest of the adaptive GVT policy's
-        // throttle tier, the conservative window (--sync) and the flow
-        // throttle clamp (--flow); infinity = free-running. Read before
-        // every event: the agent can move the policy clamp while this
-        // worker is suspended in handle_outcome.
-        pdes::Outcome out = worker.kernel.process_next_bounded(exec_bound(worker));
-        if (!out.processed) break;
-        ++processed;
-        did_work = true;
-        co_await handle_outcome(worker, std::move(out));
-      }
-      for (RoundHook* hook : loop_hooks_) {
-        hook->batch_tick(worker, processed, hook_out);
-        for (pdes::Event& event : hook_out) {
-          co_await send_event(worker, event);
-          did_work = true;
-        }
-        hook_out.clear();
-      }
-      for (RoundHook* hook : loop_hooks_) {
-        hook->batch_release(worker, hook_out);
-        for (pdes::Event& event : hook_out) {
-          if (cluster_.owners.worker_of(event.dst_lp) == worker.global_worker) {
-            // The destination LP migrated onto this worker while the event
-            // was held: deposit directly (send_event forbids self-sends).
-            co_await handle_outcome(worker, worker.kernel.deposit(event));
-          } else {
-            co_await send_event(worker, event);
+    Pass pass{self};
+    for (const Step step : steps) {
+      if (!stops_at<Walk::kRun>(step, pass)) continue;
+      switch (step) {
+        case Step::kMpiProgress: co_await mpi_progress(&pass.did_work); break;
+        case Step::kNodeInbox:
+          co_await receive_arrivals(self->index_in_node, &pass.did_work);
+          break;
+        case Step::kDrain: co_await drain_inboxes(*self, &pass.did_work); break;
+        case Step::kBatch:
+          for (int b = 0; b < cfg().batch; ++b) {
+            // Execution horizon: the tightest of the adaptive GVT policy's
+            // throttle tier, the conservative window (--sync) and the flow
+            // throttle clamp (--flow); infinity = free-running. Read before
+            // every event: the agent can move the policy clamp while this
+            // worker is suspended in handle_outcome.
+            pdes::Outcome out = self->kernel.process_next_bounded(exec_bound(*self));
+            if (!out.processed) break;
+            ++pass.processed;
+            pass.did_work = true;
+            co_await handle_outcome(*self, std::move(out));
           }
-          did_work = true;
-        }
-        hook_out.clear();
+          break;
+        case Step::kHooks:
+          for (RoundHook* hook : loop_hooks_) {
+            hook->batch_tick(*self, pass.processed, hook_out);
+            for (pdes::Event& event : hook_out) {
+              co_await send_event(*self, event);
+              pass.did_work = true;
+            }
+            hook_out.clear();
+          }
+          for (RoundHook* hook : loop_hooks_) {
+            hook->batch_release(*self, hook_out);
+            for (pdes::Event& event : hook_out) {
+              if (cluster_.owners.worker_of(event.dst_lp) == self->global_worker) {
+                // The destination LP migrated onto this worker while the
+                // event was held: deposit directly (send_event forbids
+                // self-sends).
+                co_await handle_outcome(*self, self->kernel.deposit(event));
+              } else {
+                co_await send_event(*self, event);
+              }
+              pass.did_work = true;
+            }
+            hook_out.clear();
+          }
+          break;
+        case Step::kAgentTick: co_await gvt_->agent_tick(self); break;
+        case Step::kGvtTick: co_await gvt_->worker_tick(*self); break;
+        case Step::kCount: break;  // a credit only
       }
     }
-
-    ++worker.iterations;
-    ++worker.gvt.iters_since_round;
-    if (worker.mpi_duty && gvt_->agent_pending()) co_await gvt_->agent_tick(&worker);
-    if (gvt_->tick_pending(worker)) co_await gvt_->worker_tick(worker);
-    if (did_work) continue;
+    if (pass.did_work) continue;
     if (idle_polls_) {
-      co_await metasim::idle_poll(worker.poller);
+      co_await metasim::idle_poll(self != nullptr ? self->poller : agent_poll_id_);
     } else {
-      co_await delay(cpu(cfg().cluster.idle_poll));
-    }
-  }
-}
-
-Process NodeRuntime::mpi_main() {
-  while (!stop_ || !gvt_->agent_done()) {
-    if (cluster_.faults != nullptr && cluster_.faults->node_down(node_id_)) {
-      co_await halt_if_down();
-      continue;
-    }
-    bool did_work = false;
-    co_await mpi_progress(&did_work);
-    if (gvt_->agent_pending()) co_await gvt_->agent_tick(nullptr);
-    if (did_work) continue;
-    if (idle_polls_) {
-      co_await metasim::idle_poll(agent_poll_id_);
-    } else {
-      co_await delay(cpu(cfg().cluster.mpi_poll));
+      co_await delay(cpu(self != nullptr ? cfg().cluster.idle_poll : cfg().cluster.mpi_poll));
     }
   }
 }
@@ -346,7 +382,7 @@ Process NodeRuntime::receive_arrivals(int trace_worker, bool* did_work) {
       // message for the same destination, breaking the per-pair FIFO order
       // annihilation depends on.
       WorkerCtx& dest = *workers_[static_cast<std::size_t>(cluster_.owners.worker_in_node(route))];
-      co_await deliver_to_worker(dest, *event);
+      co_await enqueue(dest.remote_in, *event);
     } else {
       trace().mpi_recv(node_id_, trace_worker, "control");
       gvt_->on_token(std::get<MatternToken>(*msg));
@@ -354,12 +390,11 @@ Process NodeRuntime::receive_arrivals(int trace_worker, bool* did_work) {
   }
 }
 
-Process NodeRuntime::deliver_to_worker(WorkerCtx& dest, pdes::Event event) {
-  co_await dest.remote_in.mutex.lock();
+Process NodeRuntime::enqueue(SharedQueue& queue, pdes::Event event) {
+  co_await queue.mutex.lock();
   co_await delay(cpu(cfg().cluster.shm_copy));
-  dest.remote_in.items.push_back(event);
-  ++dest.remote_in.total_enqueued;
-  dest.remote_in.mutex.unlock();
+  queue.items.push_back(event);
+  queue.mutex.unlock();
 }
 
 Process NodeRuntime::drain_inboxes(WorkerCtx& worker, bool* did_work) {
@@ -484,11 +519,7 @@ Process NodeRuntime::send_event(WorkerCtx& worker, pdes::Event event) {
     regional_msgs_metric_.inc();
     WorkerCtx& dest = *workers_[static_cast<std::size_t>(cluster_.owners.worker_in_node(route))];
     CAGVT_ASSERT(&dest != &worker);  // same-thread events never reach here
-    co_await dest.regional_in.mutex.lock();
-    co_await delay(cpu(spec.shm_copy));
-    dest.regional_in.items.push_back(event);
-    ++dest.regional_in.total_enqueued;
-    dest.regional_in.mutex.unlock();
+    co_await enqueue(dest.regional_in, event);
     co_return;
   }
 
@@ -505,11 +536,7 @@ Process NodeRuntime::send_event(WorkerCtx& worker, pdes::Event event) {
     mpi_lock_.unlock();
     co_return;
   }
-  co_await mpi_outbox_.mutex.lock();
-  co_await delay(cpu(spec.shm_copy));
-  mpi_outbox_.items.push_back(event);
-  ++mpi_outbox_.total_enqueued;
-  mpi_outbox_.mutex.unlock();
+  co_await enqueue(mpi_outbox_, event);
 }
 
 void NodeRuntime::restore_transport(std::uint32_t epoch,

@@ -40,7 +40,6 @@ struct SharedQueue {
       : mutex(engine, spec.lock_acquire, spec.lock_handoff) {}
   metasim::Mutex mutex;
   std::deque<pdes::Event> items;
-  std::uint64_t total_enqueued = 0;
 };
 
 /// Per-worker GVT bookkeeping shared by all algorithms.
@@ -60,10 +59,9 @@ struct GvtThreadState {
   DecidedWindow decided;
 };
 
-/// One worker thread. As an idle poller it answers, for each of its idle
-/// passes, whether the pass would do anything (NodeRuntime::
-/// worker_pass_pending); a skipped pass counts its iteration and credits
-/// the loop hooks' ticks (NodeRuntime::skip_worker_pass).
+/// One worker thread. As an idle poller it walks its loop pass's steps
+/// (NodeRuntime::Step): the pass is pending when one step's guard holds,
+/// and a skipped pass applies every step's skip credit.
 struct WorkerCtx final : metasim::IdlePoller {
   WorkerCtx(NodeRuntime& node_rt, metasim::Engine& engine, const net::ClusterSpec& spec,
             const pdes::Model& model, const pdes::LpMap& map, int global_worker_idx,
@@ -269,20 +267,12 @@ class NodeRuntime {
   /// Charge the costs of an engine outcome and route its external events.
   metasim::Process handle_outcome(WorkerCtx& worker, pdes::Outcome outcome);
 
-  /// Idle-poll predicates: would the worker's (the dedicated MPI
-  /// thread's) pass dispatched now do anything besides re-arming its poll?
-  /// Each clause mirrors one step of worker_main (mpi_main); the loop
-  /// hooks answer for their own steps (RoundHook::loop_pending).
-  bool worker_pass_pending(WorkerCtx& worker);
-  bool agent_pass_pending();
-  /// The bookkeeping of a worker pass the predicate skipped: the loop
-  /// hooks' skip_tick credits (unless the worker is held, as worker_main
-  /// ticks hooks only then) and the iteration counts.
-  void skip_worker_pass(WorkerCtx& worker) {
-    if (!loop_hooks_.empty()) skip_hook_ticks(worker);
-    ++worker.iterations;
-    ++worker.gvt.iters_since_round;
-  }
+  /// Idle polls: would the pass of `self` (nullptr: the dedicated MPI
+  /// thread) dispatched now do anything besides re-arming its poll? True
+  /// when the loop exits or one of the pass's step guards holds.
+  bool pass_pending(WorkerCtx* self);
+  /// A worker pass pass_pending ruled out: apply its steps' skip credits.
+  void skip_pass(WorkerCtx& worker);
 
   /// Restore round, at the node's last rewound worker: reset the node's
   /// data-plane transport to a checkpoint's cursors under `epoch`.
@@ -315,23 +305,56 @@ class NodeRuntime {
   /// granularity; threads blocked inside a collective stay blocked there).
   metasim::Process halt_if_down();
 
-  metasim::Process worker_main(WorkerCtx& worker);
-  /// Combined placement: the MPI-duty worker's pass runs MPI progress on
-  /// every combined_mpi_poll_period-th iteration.
-  bool combined_mpi_due(const WorkerCtx& worker) const;
+  /// The steps of a loop pass, in order (DESIGN §14 "Idle polls"). The loop
+  /// runs each step whose guard holds and applies the skip credit of every
+  /// other, the idle-poll predicate is the OR of the guards, and a skipped
+  /// pass applies every credit. So a step whose guard is false must charge
+  /// no time, take no lock and change nothing but its credit. kDrain reads
+  /// worker_held for itself, kBatch and kHooks; kCount is a credit only.
+  enum class Step : std::uint8_t {
+    kMpiProgress, kNodeInbox, kDrain, kBatch, kHooks, kCount, kAgentTick, kGvtTick
+  };
+  static constexpr Step kWorkerPass[] = {Step::kMpiProgress, Step::kNodeInbox, Step::kDrain,
+                                         Step::kBatch,       Step::kHooks,     Step::kCount,
+                                         Step::kAgentTick,   Step::kGvtTick};
+  static constexpr Step kAgentPass[] = {Step::kMpiProgress, Step::kAgentTick};
+  struct Pass {
+    WorkerCtx* self = nullptr;  // nullptr: the dedicated MPI thread
+    bool held = false;
+    int processed = 0;
+    bool did_work = false;
+  };
+  /// The loop reads guards and credits, the predicate guards, a skip credits.
+  enum class Walk : std::uint8_t { kRun, kProbe, kCredit };
+  /// Does the walk stop at `step`, its guard holding? Each step's case
+  /// holds its guard and its credit.
+  template <Walk kWalk>
+  [[gnu::always_inline]] bool stops_at(Step step, Pass& pass);
+  /// Does a probe or credit walk stop at one of `kSteps`? Unrolled, so the
+  /// guards and credits compile in line.
+  template <Walk kWalk, const auto& kSteps>
+  bool walk(Pass& pass);
+  /// Any MPI traffic, or an open stall pulse? Otherwise mpi_progress
+  /// charges nothing.
+  bool mpi_pending() const;
+  bool exits(const WorkerCtx* self) const {
+    return stop_ && (self == nullptr ? gvt_->agent_done() : gvt_->worker_done(*self));
+  }
+  /// A worker's loop, or the dedicated MPI thread's (`self` == nullptr).
+  metasim::Process thread_main(WorkerCtx* self);
   /// The worker's execution horizon: the tightest of the GVT policy's
   /// clamp and every loop hook's exec_bound.
   double exec_bound(const WorkerCtx& worker) const {
     const double bound = gvt_->clamp().bound();
     return loop_hooks_.empty() ? bound : std::min(bound, hooks_bound(worker));
   }
-  /// The loop hooks' steps of the idle-pass predicate and its bookkeeping,
-  /// out of line: every pass runs the predicate, and a run without loop
-  /// hooks then pays one test for them.
+  /// The loop hooks' part of the guards, out of line: a run without loop
+  /// hooks pays one test for them.
   double hooks_bound(const WorkerCtx& worker) const;
   bool hooks_pending(const WorkerCtx& worker) const;
-  void skip_hook_ticks(WorkerCtx& worker);
-  metasim::Process mpi_main();
+  /// Lock, charge the shared-memory copy, append, unlock: the enqueue of
+  /// every shared queue.
+  metasim::Process enqueue(SharedQueue& queue, pdes::Event event);
   metasim::Process send_event(WorkerCtx& worker, pdes::Event event);
   /// Unpack the node's network arrivals: events are forwarded toward a
   /// migrated LP's current owner node or delivered to the owning worker's
@@ -340,17 +363,16 @@ class NodeRuntime {
   /// their own MPI calls under the node-wide MPI lock — the threaded-MPI
   /// contention model). `trace_worker` is the trace track (-1 = agent).
   metasim::Process receive_arrivals(int trace_worker, bool* did_work);
-  metasim::Process deliver_to_worker(WorkerCtx& dest, pdes::Event event);
   /// Hand one received message to its consumer: a non-event message to the
   /// hook that consumes it (cancelbacks to flow, control messages to cons),
   /// an event for an LP that migrated away is forwarded, anything else is
   /// deposited.
   metasim::Process dispatch_received(WorkerCtx& worker, const pdes::Event& event);
 
-  /// The dedicated MPI thread as an idle poller; its passes keep no count.
+  /// The dedicated MPI thread as an idle poller; its steps carry no credit.
   struct AgentPoller final : metasim::IdlePoller {
     explicit AgentPoller(NodeRuntime& node_rt) : node(node_rt) {}
-    bool pass_pending() override { return node.agent_pass_pending(); }
+    bool pass_pending() override { return node.pass_pending(nullptr); }
     void skip_pass() override {}
     NodeRuntime& node;
   };
@@ -381,7 +403,5 @@ class NodeRuntime {
   std::uint64_t regional_msgs_ = 0;
   std::uint64_t remote_msgs_ = 0;
 };
-
-inline void WorkerCtx::skip_pass() { node.skip_worker_pass(*this); }
 
 }  // namespace cagvt::core

@@ -47,7 +47,7 @@ class RoundHook {
   /// Hooks inside the worker loop say so once; only those are asked for
   /// exec_bound (the largest recv_ts the worker may execute) before every
   /// event, for batch_tick / batch_release after every batch, and for
-  /// loop_pending / skip_tick on every idle pass.
+  /// loop_pending / skip_tick on every pass that processed nothing.
   virtual bool in_worker_loop() const { return false; }
   virtual pdes::VirtualTime exec_bound(int /*worker*/) const { return pdes::kVtInfinity; }
 
@@ -59,14 +59,16 @@ class RoundHook {
                           std::vector<pdes::Event>& /*out*/) {}
   virtual void batch_release(WorkerCtx& /*worker*/, std::vector<pdes::Event>& /*out*/) {}
 
-  /// The idle-poll question (DESIGN §14 "Idle polls"): would batch_tick
-  /// with nothing processed, or batch_release, change anything for
-  /// `worker` right now, apart from what skip_tick credits? A wrong
-  /// `false` skips a pass that would have acted, so the default, `true`,
-  /// means "cannot tell" and keeps every pass.
+  /// The guard of the worker pass's hook step (DESIGN §14 "Idle polls"):
+  /// would batch_tick with nothing processed, or batch_release, change
+  /// anything for `worker` right now, apart from what skip_tick credits?
+  /// When no event was processed and every loop hook says `false`, the
+  /// loop skips both calls and the idle-poll predicate may skip the pass,
+  /// so a wrong `false` changes every run. The default, `true`, means
+  /// "cannot tell" and keeps every pass.
   virtual bool loop_pending(const WorkerCtx& /*worker*/) const { return true; }
-  /// A pass loop_pending said `false` to was skipped: credit what its
-  /// batch_tick(…, 0, …) would have counted.
+  /// The hook step did not run: credit what batch_tick(…, 0, …) would have
+  /// counted.
   virtual void skip_tick(WorkerCtx& /*worker*/) {}
 
   /// Round `round` opens; a hook may also want a round now, whatever the
