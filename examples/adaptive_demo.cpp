@@ -14,6 +14,7 @@
 // (see src/fault/fault_parse.hpp) — handy for watching CA-GVT fall back to
 // synchronous rounds when a straggler drags efficiency below threshold.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -23,7 +24,7 @@
 
 using namespace cagvt;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
   const int nodes = static_cast<int>(opts.get_int("nodes", 8));
   const double threshold = opts.get_double("threshold", 0.8);
@@ -36,6 +37,7 @@ int main(int argc, char** argv) {
   cfg.obs.trace = !trace_out.empty();
   cfg.obs.metrics = !metrics_out.empty();
   core::apply_fault_options(cfg, opts);
+  cfg.validate();  // before run_mixed builds the LP map for this shape
 
   std::printf("Mixed 10-15 PHOLD model on %d nodes (CA threshold %.0f%%)\n", nodes,
               threshold * 100);
@@ -82,4 +84,7 @@ int main(int argc, char** argv) {
               (rates[2] / rates[0] - 1) * 100, (rates[2] / rates[1] - 1) * 100);
   std::printf("(paper, Figure 10: CA-GVT beats Mattern by 8.3%% and Barrier by 6.4%%)\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

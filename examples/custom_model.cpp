@@ -13,6 +13,7 @@
 //
 //   ./build/examples/custom_model [--nodes=4] [--gvt=ca-gvt]
 #include <cstdio>
+#include <exception>
 
 #include "core/simulation.hpp"
 #include "models/registry.hpp"
@@ -84,7 +85,7 @@ class TorusNetworkModel final : public pdes::Model {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
 
   core::SimulationConfig cfg;
@@ -93,6 +94,7 @@ int main(int argc, char** argv) {
   cfg.lps_per_worker = 16;  // 4 nodes x 4 workers x 16 LPs = a 16x16 torus
   cfg.end_vt = 50.0;
   core::apply_gvt_spec(cfg, opts.get_string("gvt", "ca-gvt"));
+  cfg.validate();  // before make_map, which assumes a valid cluster shape
 
   const pdes::LpMap map = core::Simulation::make_map(cfg);
   const int side = 16;
@@ -115,4 +117,7 @@ int main(int argc, char** argv) {
   std::printf("rollbacks        : %llu\n",
               static_cast<unsigned long long>(r.events.rolled_back));
   return r.completed ? 0 : 2;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

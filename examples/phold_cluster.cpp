@@ -124,6 +124,8 @@ int main(int argc, char** argv) try {
   core::apply_lb_options(cfg, opts);
   core::apply_sync_options(cfg, opts);
   core::apply_flow_options(cfg, opts);
+  // Before make_map, which assumes a valid cluster shape.
+  cfg.validate();
 
   const std::string trace_out = opts.get_string("trace-out", "");
   const std::string trace_csv = opts.get_string("trace-csv", "");

@@ -31,7 +31,7 @@
 //
 //  * window — a bounded time window advanced by the GVT machinery. Every
 //    GVT round runs in its fully synchronous form (all in-flight messages
-//    drained — see GvtAlgorithm::set_always_sync), so the reduced value M
+//    drained — see GvtAlgorithm::open_round), so the reduced value M
 //    is the true global minimum unprocessed timestamp with nothing in
 //    transit. The next window is then [M, M + min(window, lookahead)]:
 //    any event generated inside the window lands strictly above

@@ -9,11 +9,9 @@ Process BarrierGvt::worker_tick(WorkerCtx& worker) {
 
   // In combined/everywhere placements worker 0 doubles as the MPI agent
   // and performs the cross-node steps of the round inline.
-  const bool agent_inline = worker.mpi_duty && !node_.cfg().has_dedicated_mpi();
-  if (!round_active_) {
-    round_active_ = true;  // signals the dedicated MPI thread to join
-    open_round(/*policy_sync=*/true);
-  }
+  const bool agent_inline = worker.mpi_duty;
+  // An open round signals the dedicated MPI thread to join.
+  if (phase_ == Phase::kIdle) open_round(/*policy_sync=*/true);
   auto& collectives = node_.collectives();
 
   // Phase 1: block until no event message is in transit anywhere.
@@ -56,7 +54,7 @@ Process BarrierGvt::worker_tick(WorkerCtx& worker) {
   }
 
   co_await fence_step(worker, gvt, agent_inline, /*fence_each=*/true);
-  if (agent_inline) close();
+  if (agent_inline) close_round(/*tiered=*/false);
   // Round over: hand the buffered messages to the engine (rollbacks and
   // their anti-messages happen now, as post-round traffic).
   co_await node_.flush_round_buffer(worker);
@@ -66,7 +64,7 @@ Process BarrierGvt::agent_tick(WorkerCtx* self) {
   // Only the dedicated MPI thread runs the agent side from here; in
   // combined/everywhere placements worker 0 handles it inline above.
   (void)self;
-  if (!node_.cfg().has_dedicated_mpi() || !round_active_) co_return;
+  if (!agent_pending()) co_return;
 
   auto& collectives = node_.collectives();
   node_.trace().barrier_enter(node_.rank(), -1, round_, "transit-count");
@@ -83,7 +81,7 @@ Process BarrierGvt::agent_tick(WorkerCtx* self) {
     node_.trace().barrier_exit(node_.rank(), -1, round_, "min-reduce");
   }
   co_await agent_fence_step();
-  close();
+  close_round(/*tiered=*/false);
 }
 
 }  // namespace cagvt::core

@@ -35,27 +35,17 @@ class BarrierGvt final : public GvtAlgorithm {
     (void)event;
   }
 
+  /// The whole round; the round stays in phase kJoin from open to close.
   metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
   bool tick_pending(const WorkerCtx& worker, int ahead) const override {
     return round_due(worker, ahead);
   }
-  bool agent_pending() const override {
-    return node_.cfg().has_dedicated_mpi() && round_active_;
-  }
-  bool agent_done() const override { return !round_active_; }
+  bool agent_pending() const override { return dedicated_agent_ && phase_ != Phase::kIdle; }
 
   void on_token(const MatternToken& token) override {
     (void)token;
     CAGVT_CHECK_MSG(false, "Barrier GVT uses collectives, not tokens");
-  }
-
- private:
-  bool round_active_ = false;
-
-  void close() {
-    round_active_ = false;
-    close_round(/*tiered=*/false);
   }
 };
 

@@ -168,8 +168,8 @@ struct SimulationConfig {
     if (gvt == GvtKind::kEpoch && sync.kind == cons::SyncKind::kWindow)
       throw std::invalid_argument(
           "--gvt=epoch cannot be combined with --sync=window: the bounded "
-          "window drives every advance through set_always_sync (a fully "
-          "drained, synchronous GVT reduction), while the epoch GVT keeps a "
+          "window drives every advance through a synchronous GVT round (a "
+          "fully drained reduction), while the epoch GVT keeps a "
           "round permanently in flight — there is no synchronous round to "
           "piggyback the window barrier on (use barrier, mattern, or ca-gvt)");
     if (sync.enabled()) {

@@ -40,8 +40,10 @@
 // to MatternGvt's synchronous rounds. Hysteresis releases the clamp only
 // after CaTriggerPolicy::kCalmRelease calm epochs above threshold + margin.
 //
-// DESIGN §13 documents the protocol, the tree reduction, and why the
-// bounded-window conservative executor (set_always_sync) is rejected.
+// The join/hold/adopt skeleton, the synchronous epoch's barriers and the
+// dedicated MPI thread's part in them are GvtAlgorithm's, shared with
+// MatternGvt. DESIGN §13 documents the protocol, the tree reduction, and
+// why the bounded-window conservative executor is rejected.
 #pragma once
 
 #include "core/epoch_ledger.hpp"
@@ -50,18 +52,14 @@
 
 namespace cagvt::core {
 
-class EpochGvt : public GvtAlgorithm {
+class EpochGvt final : public GvtAlgorithm {
  public:
-  explicit EpochGvt(NodeRuntime& node)
-      : GvtAlgorithm(node),
-        cm_mutex_(node.engine(), node.cfg().cluster.lock_acquire,
-                  node.cfg().cluster.lock_handoff) {}
+  explicit EpochGvt(NodeRuntime& node) : GvtAlgorithm(node, "pre-join", /*pipelined=*/true) {}
 
   void on_send(WorkerCtx& worker, pdes::Event& event) override {
     // Same minimum rule as Mattern's min_red: kNull/kNullRequest are
     // counted for the drain but never bound the GVT (see epoch_ledger.hpp).
-    event.gvt_tag =
-        static_cast<std::uint8_t>(EpochLedger::bucket_of(worker.gvt.epoch));
+    event.gvt_tag = static_cast<std::uint8_t>(EpochLedger::bucket_of(worker.gvt.round));
     ledger_.record_send(event.gvt_tag, event.recv_ts,
                         event.kind == pdes::MsgKind::kEvent ||
                             event.kind == pdes::MsgKind::kCancelback);
@@ -72,55 +70,24 @@ class EpochGvt : public GvtAlgorithm {
     ledger_.record_recv(event.gvt_tag);
   }
 
-  metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
-  bool tick_pending(const WorkerCtx& worker, int ahead) const override;
-  bool agent_pending() const override;
 
   void on_token(const MatternToken& token) override {
     (void)token;
     CAGVT_CHECK_MSG(false, "epoch GVT circulates no ring tokens");
   }
 
-  bool worker_done(const WorkerCtx& worker) const override {
-    return phase_ == Phase::kIdle || worker.gvt.adopted;
-  }
-
-  /// Synchronous epochs hold joined workers exactly like CA-GVT's
-  /// synchronous rounds (deferred reads keep the drain progressing).
-  bool worker_held(const WorkerCtx& worker) const override {
-    return sync_ && !worker.gvt.adopted && worker.gvt.epoch == round_;
-  }
-  bool agent_done() const override { return phase_ == Phase::kIdle; }
-
-  /// The bounded-window executor needs every round fully synchronous and
-  /// drained before it advances — the epoch pipeline has no such round to
-  /// offer (a reduction is always in flight). Config validation rejects
-  /// --gvt=epoch with --sync=window before a runtime exists; this is the
-  /// backstop.
-  void set_always_sync() override {
-    CAGVT_CHECK_MSG(false,
-                    "epoch GVT cannot run always-synchronous: the bounded "
-                    "window requires barrier, mattern, or ca-gvt");
-  }
-
-  // Introspection (tests, experiment reports).
-  double last_gvt() const { return gvt_value_; }
-  std::uint64_t epochs_started() const { return round_; }
-  const EpochLedger& ledger() const { return ledger_; }
-
  private:
-  enum class Phase : std::uint8_t {
-    kIdle,       // only before the first epoch and after the run stops
-    kCollect,    // workers joining the epoch (contributions at join)
-    kReduce,     // all local workers joined; agent drives tree waves
-    kBroadcast,  // reduction complete; workers adopt, then the next epoch
-  };
-
   // Epochs are the algorithm's rounds: round_ is the current epoch number
-  // (the first epoch is 1).
-  void begin_epoch();
-  void finish_epoch();  // chains straight into begin_epoch unless stopped
+  // (the first epoch is 1), and the phases run kJoin (workers joining,
+  // contributing at the join) -> kReduce (all local workers joined; the
+  // agent drives tree waves) -> kBroadcast (workers adopt, then the next
+  // epoch).
+  void begin_cut() override;
+  /// Unlike Mattern's white->red flip there is no separate Collect visit
+  /// later — the join IS the contribution, which is what lets the epoch
+  /// reduction start the moment the last local worker has joined.
+  void on_join(WorkerCtx& worker) override;
   /// Every rank runs this identically on the epoch's final reduced wave.
   void complete_epoch(const net::TreeVal& total);
   /// A restore also rewinds GVT: the regression check restarts from zero.
@@ -129,27 +96,11 @@ class EpochGvt : public GvtAlgorithm {
     gvt_value_ = 0;
   }
 
-  // Per-node shared control structure, guarded by a contended lock like
-  // the real shared-memory structure would be (mirrors MatternGvt).
-  metasim::Mutex cm_mutex_;
   EpochLedger ledger_;
-
-  Phase phase_ = Phase::kIdle;
-
-  int joined_count_ = 0;
-  int adopted_count_ = 0;
-  double node_min_lvt_ = pdes::kVtInfinity;
   /// Overhead measurements ride only the epoch's FIRST wave (retry waves
   /// re-contribute the stable minima and refreshed balances but must not
   /// double-count the committed/processed window).
   bool first_wave_ = true;
-
-  double gvt_value_ = 0;
-
-  /// Latest epoch whose pre-join / post-fossil barrier the dedicated MPI
-  /// thread has joined (recorded before the await — see agent_tick).
-  std::uint64_t agent_prejoin_epoch_ = 0;
-  std::uint64_t agent_postfossil_epoch_ = 0;
 };
 
 }  // namespace cagvt::core

@@ -1,7 +1,8 @@
 #include "core/gvt.hpp"
 
+#include <algorithm>
+
 #include "core/barrier_gvt.hpp"
-#include "core/ca_gvt.hpp"
 #include "core/epoch_gvt.hpp"
 #include "core/mattern_gvt.hpp"
 #include "core/node_runtime.hpp"
@@ -13,9 +14,13 @@ using metasim::delay;
 using metasim::Process;
 using metasim::SimTime;
 
-GvtAlgorithm::GvtAlgorithm(NodeRuntime& node)
+GvtAlgorithm::GvtAlgorithm(NodeRuntime& node, const char* join_fence, bool pipelined)
     : node_(node),
       hooks_(node.hooks()),
+      dedicated_agent_(node.cfg().has_dedicated_mpi()),
+      cm_mutex_(node.engine(), node.cfg().cluster.lock_acquire, node.cfg().cluster.lock_handoff),
+      join_fence_(join_fence),
+      pipelined_(pipelined),
       policy_(tier_policy_from(node.cfg())),
       rounds_metric_(node.metrics(), "gvt.rounds"),
       sync_rounds_metric_(node.metrics(), "gvt.sync_rounds"),
@@ -35,15 +40,107 @@ bool GvtAlgorithm::round_due(const WorkerCtx& worker, int ahead) const {
 
 void GvtAlgorithm::open_round(bool policy_sync) {
   ++round_;
+  phase_ = Phase::kJoin;
   round_started_ = node_.engine().now();
   restore_cleared_ = false;
+  node_min_lvt_ = pdes::kVtInfinity;
   window_ = {};
+  joined_count_ = 0;
+  adopted_count_ = 0;
   RoundOpen open;
   for (const auto& hook : hooks_) hook->open_round(round_, open);
   plan_ = open.plan;
   lb_moves_ = open.moves;
-  sync_ = policy_sync || plan_ != RoundPlan::kNormal || lb_moves_;
+  // Checkpoint/restore/migration rounds piggyback on the synchronous
+  // machinery: the barriers quiesce processing, and the fence step's
+  // barriers fence the snapshot/rewind/moves from the round's message
+  // flush. (--gvt=epoch with --sync=window is rejected by validate.)
+  sync_ = policy_sync || node_.cfg().sync.kind == cons::SyncKind::kWindow ||
+          plan_ != RoundPlan::kNormal || lb_moves_;
   node_.trace().round_begin(node_.rank(), round_, sync_);
+}
+
+void GvtAlgorithm::begin_round() {
+  CAGVT_CHECK(phase_ == Phase::kIdle);
+  // The adaptive policy only reaches the barrier set at SyncTier::kSync;
+  // kThrottle rounds run asynchronously under the execution clamp.
+  open_round(next_tier_ == SyncTier::kSync);
+  begin_cut();
+}
+
+void GvtAlgorithm::finish_round() {
+  close_round(/*tiered=*/true);
+  // The epoch pipeline never idles: the next epoch opens immediately, so
+  // the transients that accumulated against it during this epoch's
+  // reduction are already being drained.
+  if (pipelined_ && !node_.stopped()) begin_round();
+}
+
+Process GvtAlgorithm::worker_tick(WorkerCtx& worker) {
+  GvtThreadState& state = worker.gvt;
+  // The inline agent joins every barrier with the barrier_agent variant.
+  const bool agent_inline = worker.mpi_duty;
+  // The epoch pipeline opens at the first worker tick and then chains from
+  // finish_round; after the run stopped it must not open again.
+  if (phase_ == Phase::kIdle && (pipelined_ ? !node_.stopped() : round_due(worker)))
+    begin_round();
+
+  // --- Join (Alg. 2 lines 2-7; Alg. 3 adds the first conditional barrier):
+  // from here the worker's sends carry the round's colour or tag. --------
+  if (phase_ != Phase::kIdle && !joined(state)) {
+    // Rounds never outrun a worker: the next opens only after every worker
+    // adopted this one.
+    CAGVT_CHECK(state.round + 1 == round_);
+    if (sync_) co_await fence_barrier(agent_inline, worker.index_in_node, join_fence_);
+    co_await cm_mutex_.lock();
+    state.round = round_;
+    node_.trace().white_red(node_.rank(), worker.index_in_node, round_);
+    state.min_red = pdes::kVtInfinity;
+    state.contributed = false;
+    state.adopted = false;
+    // The node's view of the previous colour or closing bucket is frozen
+    // once no local worker sends with it: the agent's drain can start.
+    if (++joined_count_ == node_.cfg().workers_per_node()) phase_ = Phase::kReduce;
+    on_join(worker);
+    cm_mutex_.unlock();
+    state.iters_since_round = 0;
+  }
+
+  // During a synchronous round, held workers still read (and count)
+  // incoming messages — deferred, like Barrier GVT's ReadMessages — so the
+  // drain can progress while processing is quiesced.
+  if (worker_held(state)) co_await node_.read_messages_deferred(worker);
+
+  if (phase_ == Phase::kCollect && !state.contributed) co_await collect(worker);
+
+  // --- Adopt the new GVT and fossil collect (Alg. 2 lines 16-20; Alg. 3
+  // adds the post-fossil barrier). Workers keep the round's colour or tag:
+  // messages sent from here on stay accountable to the next round. -------
+  if (phase_ == Phase::kBroadcast && !state.adopted) {
+    CAGVT_CHECK(state.contributed);
+    state.adopted = true;
+    co_await fence_step(worker, gvt_value_, agent_inline);
+    state.iters_since_round = 0;
+    if (++adopted_count_ == node_.cfg().workers_per_node()) finish_round();
+    // Deliver messages buffered while processing was quiesced (ordered
+    // before anything the next loop iteration drains).
+    co_await node_.flush_round_buffer(worker);
+  }
+}
+
+bool GvtAlgorithm::tick_pending(const WorkerCtx& worker, int ahead) const {
+  // One clause per step of worker_tick, in its order.
+  if (phase_ == Phase::kIdle) return pipelined_ ? !node_.stopped() : round_due(worker, ahead);
+  const GvtThreadState& state = worker.gvt;
+  return !joined(state) || (worker_held(state) && worker.has_mail()) ||
+         (phase_ == Phase::kCollect && !state.contributed) ||
+         (phase_ == Phase::kBroadcast && !state.adopted);
+}
+
+Process GvtAlgorithm::collect(WorkerCtx& worker) {
+  (void)worker;
+  CAGVT_CHECK_MSG(false, "only Mattern's cut has a Collect phase");
+  co_return;
 }
 
 Process GvtAlgorithm::fence_barrier(bool agent_side, int worker, const char* which) {
@@ -100,6 +197,25 @@ Process GvtAlgorithm::fence_step(WorkerCtx& worker, double gvt, bool agent_side,
   if (!fence_each && sync) co_await fence_barrier(agent_side, track, "post-fossil");
 }
 
+Process GvtAlgorithm::agent_fences() {
+  for (const Phase at : {Phase::kJoin, Phase::kCollect, Phase::kBroadcast}) {
+    if (phase_ != at || !agent_fence_pending()) continue;
+    agent_fenced_[static_cast<int>(at)] = round_;
+    co_await fence_barrier(true, -1, fence_name(at));
+  }
+}
+
+Process GvtAlgorithm::agent_drain(WorkerCtx* self) {
+  bool pump = false;
+  co_await node_.mpi_progress(&pump);
+  if (self == nullptr) co_return;
+  if (sync_) {
+    co_await node_.read_messages_deferred(*self);
+  } else {
+    co_await node_.drain_inboxes(*self, &pump);
+  }
+}
+
 Process GvtAlgorithm::agent_fence_step() {
   if (plan_ == RoundPlan::kRestore) {
     co_await fence_barrier(true, -1, "restore-fence");
@@ -109,7 +225,8 @@ Process GvtAlgorithm::agent_fence_step() {
   if (lb_moves_) co_await fence_barrier(true, -1, "lb-fence");
 }
 
-void GvtAlgorithm::contribute_window(WorkerCtx& worker) {
+void GvtAlgorithm::contribute(WorkerCtx& worker) {
+  node_min_lvt_ = std::min(node_min_lvt_, NodeRuntime::worker_min_ts(worker));
   window_ += worker.gvt.decided.take(worker.kernel.stats());
 }
 
@@ -142,6 +259,7 @@ void GvtAlgorithm::apply_tier(SyncTier tier, double gvt) {
 }
 
 void GvtAlgorithm::close_round(bool tiered) {
+  phase_ = Phase::kIdle;
   ++stats_.rounds;
   stats_.round_time_total += node_.engine().now() - round_started_;
   rounds_metric_.inc();
@@ -171,8 +289,8 @@ void GvtAlgorithm::close_round(bool tiered) {
 std::unique_ptr<GvtAlgorithm> make_gvt(GvtKind kind, NodeRuntime& node) {
   switch (kind) {
     case GvtKind::kBarrier: return std::make_unique<BarrierGvt>(node);
-    case GvtKind::kMattern: return std::make_unique<MatternGvt>(node);
-    case GvtKind::kControlledAsync: return std::make_unique<CaGvt>(node);
+    case GvtKind::kMattern:
+    case GvtKind::kControlledAsync: return std::make_unique<MatternGvt>(node);
     case GvtKind::kEpoch: return std::make_unique<EpochGvt>(node);
   }
   CAGVT_CHECK_MSG(false, "unknown GVT kind");

@@ -3,7 +3,8 @@
 //
 //  * Message colouring: every off-thread event message carries its
 //    sender's colour, and colours ALTERNATE from round to round (Mattern's
-//    repeated-cut scheme). Each colour keeps a per-node cumulative counter
+//    repeated-cut scheme): a worker's colour is the parity of the round it
+//    joined. Each colour keeps a per-node cumulative counter
 //    (sent - received); a round drains the PREVIOUS round's colour to zero
 //    before collecting, while messages of the current colour contribute
 //    their receive timestamp to the sender's min_red. Alternation is what
@@ -28,11 +29,34 @@
 //  * Threads adopt the GVT and fossil-collect; they keep the round's
 //    colour until they join the next round.
 //
+// Controlled Asynchronous GVT — the paper's Algorithm 3 and primary
+// contribution (--gvt=ca-gvt) — is this class under the tiered policy.
+// CA-GVT is Mattern's algorithm plus three *conditional* synchronization
+// points, enabled for a round whenever the globally measured simulation
+// efficiency (committed / processed events, gathered by the control
+// message) fell below a threshold (paper: 80%) in the previous round:
+//
+//   1. barrier() before the white->red transition      (Alg. 3 line 4)
+//   2. barrier() before contributing LVT/min_red       (Alg. 3 line 14)
+//   3. barrier() after fossil collection               (Alg. 3 line 30)
+//
+// With high efficiency it behaves like pure Mattern (asynchronous, no
+// stalls); with low efficiency the barriers align thread progress like
+// Barrier GVT, cutting rollbacks. This reproduction interposes a cheaper
+// first response before the barriers: the first tripped rounds only clamp
+// execution to GVT + gvt_throttle_clamp (SyncTier::kThrottle) while rounds
+// stay asynchronous, and the barrier set engages only after the smoothed
+// signal stays bad for gvt_escalate_rounds consecutive rounds (see
+// CaTriggerPolicy in core/gvt_policy.hpp and DESIGN §13). The efficiency
+// bookkeeping itself costs a little extra per round (the paper measures
+// GVT rounds ~8% costlier than plain Mattern) — modelled by
+// ClusterSpec::ca_round_overhead, charged at each Collect contribution.
+//
 // The round lifecycle around this cut protocol (recovery/migration plan,
-// fence step, tier decision, close) is GvtAlgorithm's. CA-GVT (Algorithm 3)
-// derives from this class: it switches on the tiered policy, whose kSync
-// tier runs the conditional barriers below, and charges its efficiency
-// bookkeeping through contribute_overhead.
+// the join/hold/adopt skeleton, the synchronous round's barriers and the
+// dedicated MPI thread's part in them, tier decision, close) is
+// GvtAlgorithm's; checkpoint/restore rounds reuse the barriers under every
+// policy.
 #pragma once
 
 #include "core/gvt.hpp"
@@ -40,15 +64,16 @@
 
 namespace cagvt::core {
 
-class MatternGvt : public GvtAlgorithm {
+class MatternGvt final : public GvtAlgorithm {
  public:
   explicit MatternGvt(NodeRuntime& node)
-      : GvtAlgorithm(node),
-        cm_mutex_(node.engine(), node.cfg().cluster.lock_acquire,
-                  node.cfg().cluster.lock_handoff) {}
+      : GvtAlgorithm(node, "pre-red"),
+        collect_overhead_(node.cfg().gvt == GvtKind::kControlledAsync
+                              ? node.cfg().cluster.ca_round_overhead
+                              : 0) {}
 
   void on_send(WorkerCtx& worker, pdes::Event& event) override {
-    event.color = worker.gvt.color;
+    event.color = color_of(worker.gvt.round);
     ++counter_[idx(event.color)];
     // Current-colour sends feed min_red; old-colour sends (a thread that
     // has not joined the round yet) are covered by the counting drain.
@@ -60,7 +85,7 @@ class MatternGvt : public GvtAlgorithm {
     // included: they carry a live simulation event back to its sender.
     if ((event.kind == pdes::MsgKind::kEvent ||
          event.kind == pdes::MsgKind::kCancelback) &&
-        event.color == cur_color_ && event.recv_ts < worker.gvt.min_red)
+        joined(worker.gvt) && event.recv_ts < worker.gvt.min_red)
       worker.gvt.min_red = event.recv_ts;
   }
 
@@ -69,9 +94,7 @@ class MatternGvt : public GvtAlgorithm {
     --counter_[idx(event.color)];
   }
 
-  metasim::Process worker_tick(WorkerCtx& worker) override;
   metasim::Process agent_tick(WorkerCtx* self) override;
-  bool tick_pending(const WorkerCtx& worker, int ahead) const override;
   bool agent_pending() const override;
 
   void on_token(const MatternToken& token) override {
@@ -80,45 +103,13 @@ class MatternGvt : public GvtAlgorithm {
     have_token_ = true;
   }
 
-  bool worker_done(const WorkerCtx& worker) const override {
-    return phase_ == Phase::kIdle || worker.gvt.adopted;
-  }
-
-  /// During a CA-GVT synchronous round, joined workers pause event
-  /// processing until they have adopted — the round then behaves like a
-  /// Barrier GVT round (full message flush, aligned resume). (`adopted`
-  /// is cleared when a worker joins and set at broadcast, so it is the
-  /// "in the active round" marker now that colours persist across rounds.)
-  bool worker_held(const WorkerCtx& worker) const override {
-    return sync_ && !worker.gvt.adopted && worker.gvt.color == cur_color_;
-  }
-  bool agent_done() const override { return phase_ == Phase::kIdle; }
-
-  /// Window-mode conservative execution: every round runs with the full
-  /// synchronous barrier set, draining all in-flight messages, so the
-  /// reduced GVT is safe to advance the window against.
-  void set_always_sync() override { always_sync_ = true; }
-
-  // Introspection (tests, experiment reports).
-  double last_gvt() const { return gvt_value_; }
-  std::uint64_t rounds_started() const { return round_; }
-
- protected:
-  enum class Phase : std::uint8_t {
-    kIdle,       // between rounds, all threads carry the last round's colour
-    kRed,        // threads flipping colour / background old-colour counting
-    kCollect,    // counting done; threads contribute LVT & min_red
-    kBroadcast,  // GVT known; threads adopt
-  };
-
-  /// CA-GVT: extra per-thread cost of the round's efficiency bookkeeping.
-  virtual metasim::SimTime contribute_overhead() const { return 0; }
-
-  Phase phase_ = Phase::kIdle;
-
  private:
-  void begin_round();
-  void finish_round();
+  void begin_cut() override {
+    node_min_red_ = pdes::kVtInfinity;
+    contributions_ = 0;
+    collect_forwarded_ = false;
+  }
+  metasim::Process collect(WorkerCtx& worker) override;
   void restart_cut_accounting() override {
     counter_[0] = 0;
     counter_[1] = 0;
@@ -129,31 +120,20 @@ class MatternGvt : public GvtAlgorithm {
   metasim::Process send_token(MatternToken token);
 
   static int idx(pdes::Color c) { return static_cast<int>(c); }
-  static pdes::Color flip(pdes::Color c) {
-    return c == pdes::Color::kWhite ? pdes::Color::kRed : pdes::Color::kWhite;
+  /// Round 0 (before the first) is white, and colours alternate from there.
+  static pdes::Color color_of(std::uint64_t round) {
+    return round % 2 == 0 ? pdes::Color::kWhite : pdes::Color::kRed;
   }
 
-  // Per-node shared control structure (the paper's node-level CM), guarded
-  // by a contended lock like the real shared-memory structure would be.
-  metasim::Mutex cm_mutex_;
+  /// CA-GVT: extra per-thread cost of the round's efficiency bookkeeping.
+  const metasim::SimTime collect_overhead_;
   // Cumulative (sent - received) per message colour. The colour a round
   // flips threads TO alternates round to round; the counting phase drains
   // the opposite (previous) colour.
   std::int64_t counter_[2] = {0, 0};
-  pdes::Color cur_color_ = pdes::Color::kWhite;
-  int red_count_ = 0;
-  bool counting_done_ = false;
-  double node_min_lvt_ = pdes::kVtInfinity;
   double node_min_red_ = pdes::kVtInfinity;
   int contributions_ = 0;
   bool collect_forwarded_ = false;
-  int adopted_count_ = 0;
-
-  double gvt_value_ = 0;
-  bool always_sync_ = false;  // window-mode: every round synchronous
-  /// Which of a synchronous round's three barriers the dedicated MPI
-  /// thread has joined (combined placement joins inline as a worker).
-  int agent_stage_ = 0;
 
   bool have_token_ = false;
   MatternToken held_;

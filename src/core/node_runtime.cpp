@@ -102,9 +102,6 @@ NodeRuntime::NodeRuntime(const ClusterServices& cluster, int node_id)
 
 void NodeRuntime::start() {
   gvt_ = make_gvt(cfg().gvt, *this);
-  // The window executor's advance is only safe against a fully drained
-  // reduction — force every round synchronous regardless of --gvt kind.
-  if (cfg().sync.kind == cons::SyncKind::kWindow) gvt_->set_always_sync();
   for (auto& worker : workers_) {
     worker->kernel.init();
     for (const auto& hook : hooks()) hook->attach(*worker);
@@ -159,7 +156,7 @@ inline bool NodeRuntime::stops_at(Step step, Pass& pass) {
     case Step::kDrain:
       // The held check, read once per pass; of the credits, only the loop
       // hooks' reads it.
-      if (kGuards || !loop_hooks_.empty()) pass.held = gvt_->worker_held(*self);
+      if (kGuards || !loop_hooks_.empty()) pass.held = gvt_->worker_held(self->gvt);
       return kGuards && !pass.held && self->has_mail();
     case Step::kBatch:
       return kGuards && !pass.held &&

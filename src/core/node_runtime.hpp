@@ -42,23 +42,6 @@ struct SharedQueue {
   std::deque<pdes::Event> items;
 };
 
-/// Per-worker GVT bookkeeping shared by all algorithms.
-struct GvtThreadState {
-  pdes::Color color = pdes::Color::kWhite;
-  std::int64_t msgs_sent = 0;  // cumulative off-thread event messages
-  std::int64_t msgs_recv = 0;
-  int iters_since_round = 0;
-  double min_red = pdes::kVtInfinity;  // min recv_ts of red messages sent
-  bool contributed = false;            // this round's Collect done
-  bool adopted = false;                // this round's Broadcast done
-  /// Epoch GVT: the pipelined epoch this worker has joined (its sends are
-  /// tagged epoch % 3 — see core/epoch_gvt.hpp).
-  std::uint64_t epoch = 0;
-  /// Decided-event window since the previous contribution, for the
-  /// windowed efficiency estimate CA-GVT adapts on.
-  DecidedWindow decided;
-};
-
 /// One worker thread. As an idle poller it walks its loop pass's steps
 /// (NodeRuntime::Step): the pass is pending when one step's guard holds,
 /// and a skipped pass applies every step's skip credit.
@@ -338,7 +321,7 @@ class NodeRuntime {
   /// charges nothing.
   bool mpi_pending() const;
   bool exits(const WorkerCtx* self) const {
-    return stop_ && (self == nullptr ? gvt_->agent_done() : gvt_->worker_done(*self));
+    return stop_ && (self == nullptr ? gvt_->agent_done() : gvt_->worker_done(self->gvt));
   }
   /// A worker's loop, or the dedicated MPI thread's (`self` == nullptr).
   metasim::Process thread_main(WorkerCtx* self);

@@ -276,7 +276,6 @@ class Trigger {
   }
 
   void reset() { set_ = false; }
-  bool is_set() const { return set_; }
 
  private:
   Engine& engine_;

@@ -22,6 +22,5 @@ constexpr SimTime milliseconds(double ms) { return static_cast<SimTime>(ms * 1e6
 constexpr SimTime seconds(double s) { return static_cast<SimTime>(s * 1e9); }
 
 constexpr double to_seconds(SimTime t) { return static_cast<double>(t) * 1e-9; }
-constexpr double to_microseconds(SimTime t) { return static_cast<double>(t) * 1e-3; }
 
 }  // namespace cagvt::metasim

@@ -132,7 +132,6 @@ class Fabric {
     tree_waiters_.resize(static_cast<std::size_t>(nranks_));
   }
   bool tree_enabled() const { return tree_enabled_; }
-  const TreeTopology& tree_topology() const { return tree_topo_; }
   /// Tree frames put on the wire (reduce-up partials + broadcast-down
   /// totals) — the property tests assert the tree actually carried traffic.
   std::uint64_t tree_frames() const { return tree_frames_; }

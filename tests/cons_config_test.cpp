@@ -168,8 +168,8 @@ TEST(ConsValidateTest, RejectsCheckpoints) {
 }
 
 TEST(ConsValidateTest, RejectsEpochGvtWithBoundedWindow) {
-  // The window executor drives every advance through set_always_sync; the
-  // epoch pipeline has no synchronous round to offer it. The error must
+  // The window executor drives every advance through a synchronous GVT
+  // round; the epoch pipeline has none to offer it. The error must
   // name both sides of the conflict and the usable alternatives.
   core::SimulationConfig cfg = conservative_config();
   cfg.gvt = core::GvtKind::kEpoch;

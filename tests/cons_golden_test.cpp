@@ -112,8 +112,8 @@ TEST(ConservativeGolden, GvtKindsDriveBothExecutors) {
         GvtKind::kEpoch}) {
     for (const cons::SyncKind sync : {cons::SyncKind::kCmb, cons::SyncKind::kWindow}) {
       // epoch+window is rejected by SimulationConfig::validate (the window
-      // advances through set_always_sync, which the pipeline cannot offer);
-      // the rejection itself is pinned in cons_config_test.
+      // advances through synchronous GVT rounds, which the pipeline cannot
+      // offer); the rejection itself is pinned in cons_config_test.
       if (kind == GvtKind::kEpoch && sync == cons::SyncKind::kWindow) continue;
       SimulationConfig cfg = base;
       cfg.gvt = kind;

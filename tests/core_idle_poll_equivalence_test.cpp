@@ -13,9 +13,18 @@
 // controllers that run inside the worker loop (flow) or at its rounds (lb,
 // checkpoints). --sync=window rejects --fault; ConsLoopPendingTest covers
 // its loop hook.
+//
+// A guard change that moves both kinds of run alike keeps them equal, so
+// the polled run's schedule is also pinned (kPinned): simulated wall time
+// (exact), GVT and synchronous rounds, processed and rolled-back events. A
+// change that moves the schedule on purpose refreshes the pins: the test
+// prints each moved case's actual row in table syntax, ready to replace the
+// old one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -61,6 +70,51 @@ SimulationResult run_cli(const std::string& flags) {
   return Simulation(cfg, *model).run(/*max_wall_seconds=*/1.0);
 }
 
+/// One case's polled schedule.
+struct Pinned {
+  const char* name;  // the case's name, as the suite prints it
+  double wall_seconds;
+  std::uint64_t gvt_rounds;
+  std::uint64_t sync_rounds;
+  std::uint64_t processed;
+  std::uint64_t rolled_back;
+};
+
+/// The polled runs' schedules (refreshed from the rows the test prints).
+constexpr Pinned kPinned[] = {
+    {"barrier_dedicated", 0.0074105050000000004, 9, 0, 5567, 1766},
+    {"barrier_combined", 0.0063834600000000005, 9, 0, 7223, 2099},
+    {"barrier_everywhere", 0.0064230550000000004, 8, 0, 6704, 1580},
+    {"barrier_controllers", 0.028337011000000002, 50, 0, 5369, 1568},
+    {"mattern_dedicated", 0.0044691399999999999, 7, 0, 4900, 1099},
+    {"mattern_combined", 0.0058448250000000005, 7, 0, 7689, 2565},
+    {"mattern_everywhere", 0.00504866, 6, 0, 6963, 1839},
+    {"mattern_controllers", 0.022916345000000001, 49, 25, 5510, 1709},
+    {"ca_gvt_dedicated", 0.0046079800000000002, 11, 1, 4420, 619},
+    {"ca_gvt_combined", 0.0056276800000000004, 12, 0, 6355, 1231},
+    {"ca_gvt_everywhere", 0.0049034949999999999, 11, 0, 5883, 759},
+    {"ca_gvt_controllers", 0.020911577000000001, 50, 31, 4759, 958},
+    {"epoch_dedicated", 0.004269653, 37, 1, 4425, 624},
+    {"epoch_combined", 0.0057100810000000005, 41, 1, 6010, 886},
+    {"epoch_everywhere", 0.00539172, 43, 4, 6090, 966},
+    {"epoch_controllers", 0.022538856000000003, 77, 52, 4670, 869},
+};
+
+/// A row of kPinned in table syntax, wall time to the last bit.
+std::string to_row(const Pinned& pin) {
+  std::ostringstream row;
+  row << std::setprecision(17) << "{\"" << pin.name << "\", " << pin.wall_seconds << ", "
+      << pin.gvt_rounds << ", " << pin.sync_rounds << ", " << pin.processed << ", "
+      << pin.rolled_back << "},";
+  return row.str();
+}
+
+std::string case_name(const std::string& gvt, const char* variant) {
+  std::string name = gvt + "_" + variant;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
 struct Variant {
   const char* name;
   const char* flags;
@@ -87,6 +141,19 @@ TEST_P(IdlePollEquivalenceTest, PolledRunMatchesEveryPassRun) {
   EXPECT_EQ(polled.efficiency, every_pass.efficiency);
   EXPECT_EQ(polled.committed_fingerprint, every_pass.committed_fingerprint);
   EXPECT_EQ(polled.state_hash, every_pass.state_hash);
+
+  const std::string name = case_name(gvt, variant.name);
+  const Pinned actual{name.c_str(),       polled.wall_seconds,      polled.gvt_rounds,
+                      polled.sync_rounds, polled.events.processed, polled.events.rolled_back};
+  const auto pin = std::find_if(std::begin(kPinned), std::end(kPinned),
+                                [&](const Pinned& p) { return name == p.name; });
+  ASSERT_NE(pin, std::end(kPinned)) << "no pinned schedule; add the row\n    " << to_row(actual);
+  const bool same = actual.wall_seconds == pin->wall_seconds &&
+                    actual.gvt_rounds == pin->gvt_rounds &&
+                    actual.sync_rounds == pin->sync_rounds && actual.processed == pin->processed &&
+                    actual.rolled_back == pin->rolled_back;
+  EXPECT_TRUE(same) << "the schedule moved; if on purpose, replace the pinned row\n    "
+                    << to_row(*pin) << "\nwith\n    " << to_row(actual);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -100,9 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
                           Variant{"controllers", "--model=imbalanced-phold --lb=roughness "
                                                  "--flow=bounded,mem=64 --ckpt-every=3"})),
     [](const ::testing::TestParamInfo<Case>& info) {
-      std::string name = std::get<0>(info.param) + "_" + std::get<1>(info.param).name;
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
+      return case_name(std::get<0>(info.param), std::get<1>(info.param).name);
     });
 
 }  // namespace
