@@ -12,6 +12,8 @@ Process BarrierGvt::worker_tick(WorkerCtx& worker) {
   const bool agent_inline = worker.mpi_duty;
   // An open round signals the dedicated MPI thread to join.
   if (phase_ == Phase::kIdle) open_round(/*policy_sync=*/true);
+  worker.gvt.round = round_;
+  const RoundCut cut = round_cut();
   auto& collectives = node_.collectives();
 
   // Phase 1: block until no event message is in transit anywhere.
@@ -40,7 +42,7 @@ Process BarrierGvt::worker_tick(WorkerCtx& worker) {
   // message (including retransmits held back by the crash), so the cut is
   // quiescent and the fence step rewinds instead of adopting.
   double gvt = 0;
-  if (plan_ != RoundPlan::kRestore) {
+  if (cut.plan != RoundPlan::kRestore) {
     const double local_min = NodeRuntime::worker_min_ts(worker);
     node_.trace().barrier_enter(node_.rank(), worker.index_in_node, round_, "min-reduce");
     if (agent_inline) {
@@ -53,7 +55,7 @@ Process BarrierGvt::worker_tick(WorkerCtx& worker) {
     if (agent_inline) node_.trace().gvt_computed(node_.rank(), round_, gvt, 0.0, 0);
   }
 
-  co_await fence_step(worker, gvt, agent_inline, /*fence_each=*/true);
+  co_await fence_step(worker, gvt, agent_inline, cut, /*fence_each=*/true);
   if (agent_inline) close_round(/*tiered=*/false);
   // Round over: hand the buffered messages to the engine (rollbacks and
   // their anti-messages happen now, as post-round traffic).

@@ -36,6 +36,9 @@ class [[nodiscard]] Process {
 
   struct promise_type {
     Engine* engine = nullptr;
+    /// The tie-break owner of this thread's resumptions (Engine::add_owner),
+    /// fixed at spawn; a subroutine runs under its caller's.
+    std::uint32_t owner = 0;
     std::coroutine_handle<> continuation;  // parent frame, for subroutine calls
     std::exception_ptr exception;
     bool detached = false;
@@ -84,6 +87,7 @@ class [[nodiscard]] Process {
       bool await_ready() const noexcept { return false; }
       std::coroutine_handle<> await_suspend(Handle parent) noexcept {
         child.promise().engine = parent.promise().engine;
+        child.promise().owner = parent.promise().owner;
         child.promise().continuation = parent;
         return child;  // symmetric transfer: start the child immediately
       }
@@ -95,32 +99,45 @@ class [[nodiscard]] Process {
   }
 
  private:
-  friend void spawn(Engine& engine, Process process, SimTime start_delay);
+  friend void spawn(Engine& engine, Process process, SimTime start_delay, std::uint32_t owner);
   explicit Process(Handle handle) : handle_(handle) {}
   Handle release() { return std::exchange(handle_, {}); }
 
   Handle handle_;
 };
 
-/// Start `process` as a root actor at now() + start_delay. The Engine takes
-/// ownership of the coroutine frame.
-inline void spawn(Engine& engine, Process process, SimTime start_delay = 0) {
+/// Resume `handle` at `when` as an entry of its process's owner: the call
+/// every awaitable makes for the waiter it wakes.
+inline void resume_at(Engine& engine, SimTime when, Process::Handle handle) {
+  engine.resume_at(when, handle, handle.promise().owner);
+}
+
+/// Start `process` as a root actor at now() + start_delay under tie-break
+/// owner `owner` (Engine::add_owner). The Engine takes ownership of the
+/// coroutine frame.
+inline void spawn(Engine& engine, Process process, SimTime start_delay, std::uint32_t owner) {
   Process::Handle handle = process.release();
   handle.promise().engine = &engine;
+  handle.promise().owner = owner;
   handle.promise().detached = true;
   engine.adopt_frame(handle);
-  engine.resume_at(engine.now() + start_delay, handle);
+  resume_at(engine, engine.now() + start_delay, handle);
+}
+
+/// The same under a new owner of its own.
+inline void spawn(Engine& engine, Process process, SimTime start_delay = 0) {
+  spawn(engine, std::move(process), start_delay, engine.add_owner());
 }
 
 /// co_await delay(ns): burn simulated time on this thread. A zero delay
-/// still yields, giving other continuations at the same timestamp a chance
-/// to run first (deterministic FIFO order).
+/// still yields: continuations at the same timestamp that order before
+/// this thread's owner run first, and this owner's entries already queued
+/// there too.
 struct DelayAwaiter {
   SimTime amount;
   bool await_ready() const noexcept { return false; }
   void await_suspend(Process::Handle h) const {
-    Engine* engine = h.promise().engine;
-    engine->resume_at(engine->now() + amount, h);
+    resume_at(*h.promise().engine, h.promise().engine->now() + amount, h);
   }
   void await_resume() const noexcept {}
 };
@@ -146,8 +163,8 @@ struct IdlePollAwaiter {
 
 inline IdlePollAwaiter idle_poll(std::uint32_t poller) { return IdlePollAwaiter{poller}; }
 
-/// co_await yield(): reschedule at the current time, behind already-queued
-/// continuations.
+/// co_await yield(): reschedule at the current time, behind this owner's
+/// already-queued continuations and ahead of later owners'.
 ///
 /// These co_await points are the cooperative backend's ONLY interleaving
 /// mechanism: between two of them a simulated thread runs exclusively, so

@@ -77,7 +77,7 @@ class Barrier {
     const SimTime release_at = engine_.now() + release_cost_;
     for (Awaiter* w : waiting_) {
       total_block_time_ += release_at - w->arrived_at;
-      engine_.resume_at(release_at, w->handle);
+      resume_at(engine_, release_at, w->handle);
     }
     waiting_.clear();
     ++generations_;
@@ -145,7 +145,7 @@ class ReduceBarrier {
     for (Awaiter* w : waiting_) {
       w->result = final_value;
       total_block_time_ += release_at - w->arrived_at;
-      engine_.resume_at(release_at, w->handle);
+      resume_at(engine_, release_at, w->handle);
     }
     waiting_.clear();
     accumulator_ = identity_;
@@ -202,7 +202,7 @@ class Mutex {
     waiters_.pop_front();
     const SimTime release_at = engine_.now() + handoff_cost_;
     total_wait_time_ += release_at - next->arrived_at;
-    engine_.resume_at(release_at, next->handle);
+    resume_at(engine_, release_at, next->handle);
   }
 
   bool held() const { return held_; }
@@ -215,7 +215,7 @@ class Mutex {
     ++acquisitions_;
     if (!held_) {
       held_ = true;
-      engine_.resume_at(engine_.now() + acquire_cost_, awaiter->handle);
+      resume_at(engine_, engine_.now() + acquire_cost_, awaiter->handle);
       return;
     }
     ++contended_;
@@ -271,7 +271,7 @@ class Trigger {
   /// wait() calls complete immediately until reset().
   void set() {
     set_ = true;
-    for (auto handle : waiters_) engine_.resume_at(engine_.now(), handle);
+    for (auto handle : waiters_) resume_at(engine_, engine_.now(), handle);
     waiters_.clear();
   }
 

@@ -83,6 +83,15 @@ class Fabric {
 
   int nranks() const { return nranks_; }
 
+  /// The tie-break owner (metasim::Engine::add_owner) of the engine entries
+  /// that act at `rank`: frame deliveries to it, its tree contributions and
+  /// its retransmit timers. A rank given none uses the owner of the
+  /// dispatch that schedules the entry.
+  void set_owner(int rank, std::uint32_t owner) {
+    if (owners_.empty()) owners_.assign(static_cast<std::size_t>(nranks_), kNoOwner);
+    owners_[static_cast<std::size_t>(rank)] = owner;
+  }
+
   /// Measurement-only trace of isend calls (see obs/trace.hpp); receives
   /// are recorded by whoever drains the inbox and charges the recv cost.
   void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
@@ -259,6 +268,14 @@ class Fabric {
   static std::int64_t add_i64(std::int64_t a, std::int64_t b) { return a + b; }
   static double min_f64(double a, double b) { return a < b ? a : b; }
 
+  static constexpr std::uint32_t kNoOwner = ~std::uint32_t{0};
+
+  std::uint32_t owner_of(int rank) const {
+    const std::uint32_t owner =
+        owners_.empty() ? kNoOwner : owners_[static_cast<std::size_t>(rank)];
+    return owner == kNoOwner ? engine_.current_owner() : owner;
+  }
+
   metasim::SimTime cpu_cost(int rank, metasim::SimTime base) const {
     return faults_ == nullptr ? base : faults_->scale_cpu(rank, base);
   }
@@ -313,7 +330,7 @@ class Fabric {
       }
       if (frame.reliable && faults_->drop_frame(src, dst, fault_class(frame))) return;
     }
-    network_.transmit(src, dst, bytes, std::move(frame));
+    network_.transmit(src, dst, bytes, std::move(frame), owner_of(dst));
   }
 
   /// Schedule `rank`'s contribution into the tree and park the awaiter until
@@ -332,7 +349,7 @@ class Fabric {
     // A live (non-daemon) event: the contribution is real protocol work —
     // every other coroutine may be parked in a barrier waiting for this
     // wave, and a daemon event would let the engine declare the run over.
-    engine_.call_at(engine_.now() + cpu_cost(rank, spec_.control_send_cpu),
+    engine_.call_at(engine_.now() + cpu_cost(rank, spec_.control_send_cpu), owner_of(rank),
                     [this, rank, wave, value] {
                       tree_emit(tree_reducer(rank).contribute(wave, value));
                       tree_maybe_resume(rank, wave);
@@ -352,7 +369,7 @@ class Fabric {
       frame.tree_up = m.up;
       frame.tree_wave = m.wave;
       frame.tree_val = m.val;
-      network_.transmit(m.from, m.to, spec_.control_msg_bytes, std::move(frame));
+      network_.transmit(m.from, m.to, spec_.control_msg_bytes, std::move(frame), owner_of(m.to));
     }
   }
 
@@ -366,7 +383,7 @@ class Fabric {
     waiters.erase(it);
     awaiter->result = reducer.take_result(wave);
     tree_block_time_ += engine_.now() - awaiter->arrived_at;
-    engine_.resume_at(engine_.now(), awaiter->handle);
+    metasim::resume_at(engine_, engine_.now(), awaiter->handle);
   }
 
   void on_wire_deliver(int src, int dst, WireFrame frame) {
@@ -484,7 +501,7 @@ class Fabric {
     auto& ss = send_streams_[idx(cls, src, dst)];
     if (ss.timer_armed || ss.unacked.empty()) return;
     ss.timer_armed = true;
-    engine_.call_at_daemon(engine_.now() + rto_delay(cls, src, dst),
+    engine_.call_at_daemon(engine_.now() + rto_delay(cls, src, dst), owner_of(src),
                            [this, cls, src, dst] { on_timer(cls, src, dst); });
   }
 
@@ -499,7 +516,8 @@ class Fabric {
           std::max(faults_->node_restart_at(src), faults_->node_restart_at(dst));
       if (wake > 0) {
         ss.timer_armed = true;
-        engine_.call_at_daemon(wake, [this, cls, src, dst] { on_timer(cls, src, dst); });
+        engine_.call_at_daemon(wake, owner_of(src),
+                               [this, cls, src, dst] { on_timer(cls, src, dst); });
         return;
       }
     }
@@ -512,7 +530,7 @@ class Fabric {
     const metasim::SimTime rto = std::max(spec_.retransmit_timeout, 2 * ss.srtt);
     if (engine_.now() - pending.sent_at < rto) {
       ss.timer_armed = true;
-      engine_.call_at_daemon(pending.sent_at + rto_delay(cls, src, dst),
+      engine_.call_at_daemon(pending.sent_at + rto_delay(cls, src, dst), owner_of(src),
                              [this, cls, src, dst] { on_timer(cls, src, dst); });
       return;
     }
@@ -539,6 +557,7 @@ class Fabric {
   obs::TraceRecorder* trace_ = nullptr;
   fault::FaultEngine* faults_ = nullptr;
   int nranks_;
+  std::vector<std::uint32_t> owners_;  // per rank; empty when none was set
   Network<WireFrame> network_;
   std::vector<std::unique_ptr<metasim::Channel<Payload>>> inboxes_;
   metasim::Barrier barrier_;
