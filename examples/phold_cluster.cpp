@@ -65,7 +65,7 @@
 //   --trace-out FILE   write a Chrome trace-event JSON (Perfetto) trace
 //   --trace-csv FILE   write the structured trace as CSV
 //   --metrics-out FILE write the metrics snapshot as CSV
-//   --verbose          info-level logging
+//   --verbose          info-level logging, plus a "host work" result line
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -217,6 +217,14 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(r.cons_null_msgs),
                 static_cast<unsigned long long>(r.cons_req_msgs), r.cons_utilization,
                 r.cons_null_ratio, r.cons_horizon_width);
+  if (opts.get_bool("verbose", false))
+    std::printf("host work           : %llu dispatches, %llu polls resumed, %llu slept, "
+                "%llu wakes, %llu passes credited\n",
+                static_cast<unsigned long long>(r.host_work.dispatches),
+                static_cast<unsigned long long>(r.host_work.polls_resumed),
+                static_cast<unsigned long long>(r.host_work.polls_slept),
+                static_cast<unsigned long long>(r.host_work.wakes),
+                static_cast<unsigned long long>(r.host_work.passes_credited));
   std::printf("peak event pool     : %llu events/worker\n",
               static_cast<unsigned long long>(r.peak_event_pool));
   if (cfg.flow.enabled())

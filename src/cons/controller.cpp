@@ -172,6 +172,7 @@ void Controller::adopt(std::uint64_t round_number, core::WorkerCtx& worker, doub
     // global minimum with nothing in transit, and events generated inside
     // [gvt, gvt + lookahead] land strictly above the new bound.
     window_.engage(gvt, std::min(cfg_.window, la_));
+    wake_threads();  // every worker's execution bound moved
   }
   if (lvt == kVtInfinity) return;  // drained worker: no horizon sample
   if (round != horizon_round_) {

@@ -47,7 +47,7 @@ void EpochGvt::complete_epoch(const net::TreeVal& total) {
   // epochs escalate to a quiesced synchronous epoch.
   apply_tier(decide(gvt, window, queue_peak), gvt);
   gvt_value_ = gvt;
-  phase_ = Phase::kBroadcast;
+  set_phase(Phase::kBroadcast);
   node_.trace().phase_change(node_.rank(), round_, "broadcast");
 }
 

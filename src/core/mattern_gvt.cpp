@@ -22,7 +22,7 @@ void MatternGvt::apply_broadcast(const MatternToken& token) {
   // its execution clamp immediately (the clamp also stays on across kSync
   // rounds — escalation adds barriers, it does not lift the bound).
   apply_tier(token.next_tier, token.gvt);
-  phase_ = Phase::kBroadcast;
+  set_phase(Phase::kBroadcast);
   node_.trace().phase_change(node_.rank(), round_, "broadcast");
 }
 
@@ -55,8 +55,16 @@ Process MatternGvt::collect(WorkerCtx& worker) {
   contribute(worker);
   node_min_red_ = std::min(node_min_red_, worker.gvt.min_red);
   ++contributions_;
+  node_.wake_threads();  // the agent waits on the node's contributions
   worker.gvt.contributed = true;
   cm_mutex_.unlock();
+}
+
+void MatternGvt::on_token(const MatternToken& token) {
+  CAGVT_CHECK_MSG(!have_token_, "two GVT control messages at one node");
+  held_ = token;
+  have_token_ = true;
+  node_.wake_threads();  // the agent advances the token
 }
 
 bool MatternGvt::agent_pending() const {
@@ -86,7 +94,7 @@ Process MatternGvt::agent_tick(WorkerCtx* self) {
       CAGVT_CHECK_MSG(total >= 0, "colour message accounting went negative");
       if (total == 0) break;
     }
-    phase_ = Phase::kCollect;
+    set_phase(Phase::kCollect);
     node_.trace().phase_change(node_.rank(), round_, "collect");
   }
 

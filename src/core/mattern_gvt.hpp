@@ -97,11 +97,7 @@ class MatternGvt final : public GvtAlgorithm {
   metasim::Process agent_tick(WorkerCtx* self) override;
   bool agent_pending() const override;
 
-  void on_token(const MatternToken& token) override {
-    CAGVT_CHECK_MSG(!have_token_, "two GVT control messages at one node");
-    held_ = token;
-    have_token_ = true;
-  }
+  void on_token(const MatternToken& token) override;
 
  private:
   void begin_cut() override {

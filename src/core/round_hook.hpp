@@ -102,6 +102,20 @@ class RoundHook {
 
   /// End of run: fill this controller's result fields and gauges.
   virtual void report(SimulationResult& /*result*/, obs::MetricsRegistry& /*metrics*/) const {}
+
+  /// The engine the run's threads sleep on between idle polls.
+  void bind(metasim::Engine& engine) { engine_ = &engine; }
+
+ protected:
+  /// A change to state a sleeping thread's step guards read, of any node
+  /// (round_requested, exec_bound, loop_pending): wake every poller, from
+  /// the dispatch that makes the change.
+  void wake_threads() const {
+    if (engine_ != nullptr) engine_->wake_all();
+  }
+
+ private:
+  metasim::Engine* engine_ = nullptr;
 };
 
 /// The run's enabled hooks, in call order.

@@ -135,6 +135,7 @@ SimulationResult Simulation::run(double max_wall_seconds) {
   result.gvt_block_seconds += metasim::to_seconds(fabric.collective_block_time());
 
   result.wall_seconds = metasim::to_seconds(engine.now());
+  result.host_work = engine.host_work();
   result.committed_rate = result.wall_seconds > 0
                               ? static_cast<double>(result.events.committed) /
                                     result.wall_seconds

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "metasim/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pdes/mapping.hpp"
@@ -123,6 +124,12 @@ struct SimulationResult {
   std::uint64_t state_hash = 0;
   /// GVT values in round order (node 0's trace).
   std::vector<double> gvt_trace;
+
+  /// What the coroutine backend's engine did on the host (all 0 on the
+  /// threads backend). Deterministic like every simulated count, but not
+  /// a simulated result: the BENCH reports and the metrics export leave it
+  /// out, and a change that only saves host work moves nothing else.
+  metasim::HostWork host_work;
 
   /// False if the safety wall-clock cap expired before GVT passed end_vt.
   bool completed = false;

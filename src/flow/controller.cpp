@@ -64,14 +64,22 @@ void Controller::batch_tick(core::WorkerCtx& worker, int /*processed*/,
   const core::FlowPressurePolicy policy{budget(gw)};
   const core::PressureTier before = throttle.tier();
   const core::PressureTier tier = throttle.classify(pool, policy.budget);
-  if (tier != before && trace_ != nullptr)
-    trace_->flow_pressure(gw, static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
-                          static_cast<int>(tier), static_cast<std::int64_t>(pool),
-                          static_cast<std::int64_t>(policy.budget));
+  if (tier != before) {
+    // Other workers' parked events may have become releasable.
+    wake_threads();
+    if (trace_ != nullptr)
+      trace_->flow_pressure(gw,
+                            static_cast<std::uint64_t>(std::max<std::int64_t>(last_round_, 0)),
+                            static_cast<int>(tier), static_cast<std::int64_t>(pool),
+                            static_cast<std::int64_t>(policy.budget));
+  }
   if (tier != core::PressureTier::kRed) return;
 
   ++red_ticks_;
-  if (!round_inflight_) round_requested_ = true;
+  if (!round_inflight_ && !round_requested_) {
+    round_requested_ = true;
+    wake_threads();  // every node's interval clock reads the request
+  }
   // Relief quota: enough of the furthest-ahead pending events to bring the
   // pool down to the release watermark. History drains via the forced
   // fossil-collection round, not via cancelback.
@@ -157,6 +165,7 @@ void Controller::adopt(std::uint64_t round_number, core::WorkerCtx& worker, doub
   const auto round = static_cast<std::int64_t>(round_number);
   if (round > last_round_) {
     last_round_ = round;
+    wake_threads();  // parked events' holds may have expired
     if (round_inflight_) {  // the forced round has been adopted
       round_inflight_ = false;
       round_requested_ = false;
