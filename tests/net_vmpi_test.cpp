@@ -30,7 +30,7 @@ TEST(NetworkTest, DeliveryAfterTransmitPlusLatency) {
   Network<int> net(engine, spec, 2);
   std::vector<std::pair<SimTime, int>> delivered;
   net.set_deliver([&](int, int, int v) { delivered.emplace_back(engine.now(), v); });
-  engine.call_at(0, [&] { net.transmit(0, 1, /*bytes=*/100, 7); });
+  engine.call_at(0, [&] { net.transmit(0, 1, /*bytes=*/100, 7, engine.current_owner()); });
   engine.run();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].first, 100 + 1000);  // transmit 100B @1B/ns + latency
@@ -46,8 +46,8 @@ TEST(NetworkTest, EgressSerializesBackToBackFrames) {
   std::vector<SimTime> arrivals;
   net.set_deliver([&](int, int, int) { arrivals.push_back(engine.now()); });
   engine.call_at(0, [&] {
-    net.transmit(0, 1, 100, 1);
-    net.transmit(0, 1, 100, 2);  // queues behind the first on the NIC
+    net.transmit(0, 1, 100, 1, engine.current_owner());
+    net.transmit(0, 1, 100, 2, engine.current_owner());  // queues behind the first on the NIC
   });
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
@@ -62,8 +62,8 @@ TEST(NetworkTest, DistinctSourcesDoNotSerialize) {
   std::vector<SimTime> arrivals;
   net.set_deliver([&](int, int, int) { arrivals.push_back(engine.now()); });
   engine.call_at(0, [&] {
-    net.transmit(0, 2, 100, 1);
-    net.transmit(1, 2, 100, 2);
+    net.transmit(0, 2, 100, 1, engine.current_owner());
+    net.transmit(1, 2, 100, 2, engine.current_owner());
   });
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
