@@ -319,12 +319,23 @@ std::uint64_t ThreadKernel::fossil_collect(VirtualTime gvt) {
   return newly_committed;
 }
 
+std::size_t ThreadKernel::lp_bytes(const Lp& lp) {
+  return sizeof(LpId) + sizeof(lp.lvt) + sizeof(lp.last_processed) + sizeof(lp.window_work) +
+         lp.state.size();
+}
+
+std::size_t ThreadKernel::record_bytes(const ProcessedRecord& rec) {
+  return sizeof(Event) * (1 + rec.outputs.size()) + rec.pre_state.size();
+}
+
 std::int64_t ThreadKernel::Snapshot::bytes() const {
-  std::size_t total = lps.size() * sizeof(Lp) + pending.size() * sizeof(Event) +
+  std::size_t total = pending.size() * sizeof(Event) +
                       early_antis.size() * (sizeof(std::uint64_t) + sizeof(LpId)) +
-                      surplus.size() * (sizeof(std::uint64_t) + sizeof(SurplusPositive));
-  for (const auto& [lp_id, lp] : lps)
-    total += lp.state.size() + lp.history.size() * sizeof(ProcessedRecord);
+                      surplus.size() * (sizeof(std::uint64_t) + sizeof(LpId) + sizeof(int));
+  for (const auto& [lp_id, lp] : lps) {
+    total += lp_bytes(lp);
+    for (const ProcessedRecord& rec : lp.history) total += record_bytes(rec);
+  }
   return static_cast<std::int64_t>(total);
 }
 
@@ -359,11 +370,11 @@ void ThreadKernel::restore(const Snapshot& snap) {
 }
 
 std::int64_t ThreadKernel::LpPackage::bytes() const {
-  return static_cast<std::int64_t>(sizeof(Lp) + data.state.size() +
-                                   data.history.size() * sizeof(ProcessedRecord) +
-                                   pending.size() * sizeof(Event) +
-                                   early_antis.size() * sizeof(std::uint64_t) +
-                                   surplus.size() * (sizeof(std::uint64_t) + sizeof(int)));
+  std::size_t total = lp_bytes(data) + pending.size() * sizeof(Event) +
+                      early_antis.size() * sizeof(std::uint64_t) +
+                      surplus.size() * (sizeof(std::uint64_t) + sizeof(int));
+  for (const ProcessedRecord& rec : data.history) total += record_bytes(rec);
+  return static_cast<std::int64_t>(total);
 }
 
 ThreadKernel::LpPackage ThreadKernel::extract_lp(LpId lp) {

@@ -153,7 +153,10 @@ class ThreadKernel {
     std::uint64_t committed_fingerprint = 0;
     std::size_t live_history = 0;
 
-    /// Approximate in-memory footprint (for ckpt_write trace records).
+    /// What the checkpoint holds, as field widths times element counts
+    /// (for ckpt_write and restore trace records): each LP's id, LVT, last
+    /// key, window work and state; each record's event, outputs and
+    /// pre-state; the pending events, early antis and surplus entries.
     std::int64_t bytes() const;
   };
 
@@ -170,7 +173,8 @@ class ThreadKernel {
     std::vector<std::uint64_t> early_antis;
     std::vector<std::pair<std::uint64_t, int>> surplus;  // uid -> copy count
 
-    /// Approximate serialized size (for migration trace records / costs).
+    /// What the package holds, counted as Snapshot::bytes() counts it (for
+    /// lb_migrate trace records).
     std::int64_t bytes() const;
   };
 
@@ -325,6 +329,9 @@ class ThreadKernel {
   /// `secondary`: the episode was caused by an anti-message (trace cause
   /// "anti") rather than a straggler positive ("straggler").
   void note_rollback(LpId lp, int depth, bool secondary);
+  /// Checkpoint and migration byte counts, independent of struct layout.
+  static std::size_t lp_bytes(const Lp& lp);
+  static std::size_t record_bytes(const ProcessedRecord& rec);
 
   const Model& model_;
   LpMap map_;

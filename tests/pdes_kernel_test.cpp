@@ -273,6 +273,24 @@ TEST(KernelTest, MaxHistoryTracksPeakMemory) {
   EXPECT_EQ(kernel.stats().max_history, 2u);
 }
 
+TEST(KernelTest, CheckpointBytesCountFieldWidthsNotStructLayout) {
+  LpMap map(1, 1, 2);  // LP0 -> LP1, both on this kernel
+  TestModel model(map, {});
+  ThreadKernel kernel(model, map, 0, {.end_vt = 100, .seed = 1});
+  kernel.init();
+  ASSERT_TRUE(kernel.process_next().processed);  // LP0@1.0 sends LP1@2.0
+
+  // Per LP: id 4, LVT 8, last key 16, window work 8, state 24 bytes.
+  constexpr std::int64_t kLp = 4 + 8 + 16 + 8 + 24;
+  // LP0's record: its event and one output (48 bytes each), 24 pre-state.
+  constexpr std::int64_t kRecord = 48 + 48 + 24;
+  // Pending: LP1's start event and LP0's output.
+  constexpr std::int64_t kPending = 2 * 48;
+  EXPECT_EQ(kernel.snapshot().bytes(), 2 * kLp + kRecord + kPending);
+  EXPECT_EQ(kernel.extract_lp(0).bytes(), kLp + kRecord);
+  EXPECT_EQ(kernel.extract_lp(1).bytes(), kLp + kPending);
+}
+
 // The kernel finds a home-block LP through its slot index and an LP that
 // migrated in from outside that block by binary search; both views must
 // follow every extract/install and every restore.
