@@ -65,9 +65,11 @@
 //   --trace-out FILE   write a Chrome trace-event JSON (Perfetto) trace
 //   --trace-csv FILE   write the structured trace as CSV
 //   --metrics-out FILE write the metrics snapshot as CSV
-//   --verbose          info-level logging, plus a "host work" result line
+//   --verbose          info-level logging, plus "host work" and "peak rss"
+//                      result lines
 #include <cstdio>
 #include <exception>
+#include <fstream>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -81,6 +83,19 @@
 #include "util/stats.hpp"
 
 using namespace cagvt;
+
+namespace {
+
+/// This process's resident high-water mark (VmHWM) in MB, or -1 where
+/// /proc/self/status does not report one.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;  // in kB
+  return -1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
@@ -217,14 +232,18 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(r.cons_null_msgs),
                 static_cast<unsigned long long>(r.cons_req_msgs), r.cons_utilization,
                 r.cons_null_ratio, r.cons_horizon_width);
-  if (opts.get_bool("verbose", false))
+  if (opts.get_bool("verbose", false)) {
     std::printf("host work           : %llu dispatches, %llu polls resumed, %llu slept, "
-                "%llu wakes, %llu passes credited\n",
+                "%llu wakes, %llu passes credited, %llu queue peak\n",
                 static_cast<unsigned long long>(r.host_work.dispatches),
                 static_cast<unsigned long long>(r.host_work.polls_resumed),
                 static_cast<unsigned long long>(r.host_work.polls_slept),
                 static_cast<unsigned long long>(r.host_work.wakes),
-                static_cast<unsigned long long>(r.host_work.passes_credited));
+                static_cast<unsigned long long>(r.host_work.passes_credited),
+                static_cast<unsigned long long>(r.host_work.queue_peak));
+    if (const double peak_mb = peak_rss_mb(); peak_mb >= 0)
+      std::printf("peak rss            : %.2f MB (VmHWM)\n", peak_mb);
+  }
   std::printf("peak event pool     : %llu events/worker\n",
               static_cast<unsigned long long>(r.peak_event_pool));
   if (cfg.flow.enabled())

@@ -34,7 +34,7 @@ void Engine::push_callback(SimTime when, std::uint32_t owner, std::function<void
     free_callbacks_.pop_back();
     callbacks_[slot] = std::move(fn);
   }
-  queue_.push(Entry{when, next_key(owner), 0, slot, Kind::kCallback, daemon});
+  push(Entry{when, next_key(owner), 0, slot, Kind::kCallback, daemon});
   if (!daemon) ++live_count_;
 }
 
@@ -50,8 +50,8 @@ void Engine::resume_at(SimTime when, std::coroutine_handle<> handle, std::uint32
   assert_owner();
   CAGVT_CHECK_MSG(when >= now_, "cannot schedule into the simulated past");
   CAGVT_ASSERT(handle);
-  queue_.push(Entry{when, next_key(owner), reinterpret_cast<std::uint64_t>(handle.address()), 0,
-                    Kind::kResume, /*daemon=*/false});
+  push(Entry{when, next_key(owner), reinterpret_cast<std::uint64_t>(handle.address()), 0,
+              Kind::kResume, /*daemon=*/false});
   ++live_count_;
 }
 
@@ -81,8 +81,8 @@ void Engine::poll_at(SimTime when, std::coroutine_handle<> handle, std::uint32_t
 void Engine::queue_poll(std::uint32_t poller, SimTime when) {
   Poller& record = pollers_[poller];
   record.queued_at = when;
-  queue_.push(Entry{when, next_key(record.owner), ++record.ticket, poller, Kind::kPoll,
-                    /*daemon=*/false});
+  push(Entry{when, next_key(record.owner), ++record.ticket, poller, Kind::kPoll,
+              /*daemon=*/false});
 }
 
 void Engine::wake(std::uint32_t poller) {

@@ -88,6 +88,7 @@ struct HostWork {
   std::uint64_t polls_slept = 0;      // polls that skipped their pass and slept
   std::uint64_t wakes = 0;            // wake() calls that queued a poll
   std::uint64_t passes_credited = 0;  // skipped passes credited in all
+  std::uint64_t queue_peak = 0;       // most entries queued at once, stale polls included
 };
 
 class Engine {
@@ -218,6 +219,11 @@ class Engine {
     std::uint64_t ticket = 0;
   };
 
+  /// Queue `entry`, keeping work_.queue_peak.
+  void push(const Entry& entry) {
+    queue_.push(entry);
+    if (queue_.size() > work_.queue_peak) work_.queue_peak = queue_.size();
+  }
   void push_callback(SimTime when, std::uint32_t owner, std::function<void()> fn, bool daemon);
   /// Make `poller`'s current poll the one at `when`.
   void queue_poll(std::uint32_t poller, SimTime when);

@@ -2,7 +2,8 @@
 """ctest: the engine's host work on three phold_cluster runs, pinned exactly.
 
 Host work (`phold_cluster --verbose`'s "host work" line: dispatches, polls
-resumed, polls slept, wakes, passes credited) is as deterministic as the
+resumed, polls slept, wakes, passes credited, and the engine queue's peak
+entry count, stale polls included) is as deterministic as the
 simulated results, so it is pinned exactly, like the schedule in
 IdlePollEquivalenceTest. The runs:
   * mattern-64: the 64-node Mattern run, whose idle threads sleep across
@@ -32,17 +33,17 @@ RUNS = {
                      "--fault=crash:node=1,t=5,down=2",
 }
 
-# (dispatches, polls resumed, polls slept, wakes, passes credited)
+# (dispatches, polls resumed, polls slept, wakes, passes credited, queue peak)
 PINNED = {
-    "mattern-64": (1128502, 16574, 23825, 23755, 11071043),
-    "imbalance-ctl": (102866, 5291, 5815, 5751, 1145833),
-    "mattern-crash": (362340, 0, 0, 0, 0),
+    "mattern-64": (1128502, 16574, 23825, 23755, 11071043, 486),
+    "imbalance-ctl": (102866, 5291, 5815, 5751, 1145833, 20),
+    "mattern-crash": (362340, 0, 0, 0, 0, 25),
 }
 
 MAX_DISPATCHES_64 = 4_000_000
 
 LINE = re.compile(r"host work\s*: (\d+) dispatches, (\d+) polls resumed, (\d+) slept, "
-                  r"(\d+) wakes, (\d+) passes credited")
+                  r"(\d+) wakes, (\d+) passes credited, (\d+) queue peak")
 
 
 def host_work(binary, flags):
