@@ -82,9 +82,12 @@ Outcome ThreadKernel::process_next_bounded(VirtualTime bound) {
   Lp& lp = lp_ref(ev->dst_lp);
   CAGVT_ASSERT(key_of(*ev) > lp.last_processed);
 
-  ProcessedRecord rec;
+  ProcessedRecord& rec = push_history(ev->dst_lp, lp);
   rec.event = *ev;
-  if (!model_.supports_reverse()) {
+  rec.outputs.clear();
+  if (model_.supports_reverse()) {
+    rec.pre_state.clear();
+  } else {
     rec.pre_state.assign(lp.state.data(), lp.state.size());
   }
   EventSink sink(ev->dst_lp, ev->recv_ts, ev->uid, rec.outputs);
@@ -98,15 +101,20 @@ Outcome ThreadKernel::process_next_bounded(VirtualTime bound) {
   lp.last_processed = key_of(*ev);
   lp.lvt = ev->recv_ts;
 
-  lp.history.push_back(std::move(rec));
   if (++live_history_ > stats_.max_history) stats_.max_history = live_history_;
 
-  const ProcessedRecord& recorded = lp.history.back();
-  for (std::size_t i = 0; i < recorded.outputs.size(); ++i)
-    route_or_queue(recorded.outputs[i], out);
+  for (std::size_t i = 0; i < rec.outputs.size(); ++i) route_or_queue(rec.outputs[i], out);
 
   drain_queue(out);
   return out;
+}
+
+ThreadKernel::ProcessedRecord& ThreadKernel::push_history(LpId id, Lp& lp) {
+  if (!lp.fossil_listed) {
+    lp.fossil_listed = true;
+    with_history_.push_back(id);
+  }
+  return pool_.push_newest(lp.history);
 }
 
 void ThreadKernel::drain_queue(Outcome& out) {
@@ -222,7 +230,7 @@ void ThreadKernel::apply_anti(const Event& event, Outcome& out) {
 bool ThreadKernel::rollback(Lp& lp, EventKey target, bool annihilate_target, Outcome& out) {
   bool target_found = false;
   while (!lp.history.empty()) {
-    ProcessedRecord& rec = lp.history.back();
+    ProcessedRecord& rec = pool_.newest(lp.history);
     const EventKey k = key_of(rec.event);
     if (k < target) break;
     const bool is_target = (k == target);
@@ -253,7 +261,7 @@ bool ThreadKernel::rollback(Lp& lp, EventKey target, bool annihilate_target, Out
     if (!is_target) {
       pending_.push(rec.event);  // will be re-executed after the straggler
     }
-    lp.history.pop_back();
+    pool_.pop_newest(lp.history);
     --live_history_;
     ++stats_.rolled_back;
     ++out.rolled_back;
@@ -268,8 +276,9 @@ bool ThreadKernel::rollback(Lp& lp, EventKey target, bool annihilate_target, Out
     lp.last_processed = EventKey{};
     lp.lvt = 0;
   } else {
-    lp.last_processed = key_of(lp.history.back().event);
-    lp.lvt = lp.history.back().event.recv_ts;
+    const Event& newest = pool_.newest(lp.history).event;
+    lp.last_processed = key_of(newest);
+    lp.lvt = newest.recv_ts;
   }
   return target_found;
 }
@@ -301,15 +310,25 @@ void ThreadKernel::note_rollback(LpId lp, int depth, bool secondary) {
 std::uint64_t ThreadKernel::fossil_collect(VirtualTime gvt) {
   CAGVT_CHECK_MSG(gvt >= last_fossil_gvt_, "GVT went backwards");
   last_fossil_gvt_ = gvt;
+  // Only listed LPs hold history. Commit order is free: the fingerprint is
+  // a sum and the trace records a count.
   std::uint64_t newly_committed = 0;
-  for (auto& [lp_id, lp] : lps_) {
-    while (!lp.history.empty() && lp.history.front().event.recv_ts < gvt) {
-      committed_fingerprint_ += commit_fingerprint(lp.history.front().event);
-      lp.history.pop_front();
+  std::size_t kept = 0;
+  for (const LpId id : with_history_) {
+    Lp& lp = lp_ref(id);
+    while (!lp.history.empty() && pool_.oldest(lp.history).event.recv_ts < gvt) {
+      committed_fingerprint_ += commit_fingerprint(pool_.oldest(lp.history).event);
+      pool_.pop_oldest(lp.history);
       --live_history_;
       ++newly_committed;
     }
+    if (lp.history.empty()) {
+      lp.fossil_listed = false;
+    } else {
+      with_history_[kept++] = id;
+    }
   }
+  with_history_.resize(kept);
   stats_.committed += newly_committed;
   // final_commit()'s infinite horizon is excluded: it runs outside the
   // simulation and an inf timestamp would not serialize as JSON.
@@ -332,10 +351,8 @@ std::int64_t ThreadKernel::Snapshot::bytes() const {
   std::size_t total = pending.size() * sizeof(Event) +
                       early_antis.size() * (sizeof(std::uint64_t) + sizeof(LpId)) +
                       surplus.size() * (sizeof(std::uint64_t) + sizeof(LpId) + sizeof(int));
-  for (const auto& [lp_id, lp] : lps) {
-    total += lp_bytes(lp);
-    for (const ProcessedRecord& rec : lp.history) total += record_bytes(rec);
-  }
+  for (const auto& [lp_id, lp] : lps) total += lp_bytes(lp);
+  for (const ProcessedRecord& rec : history) total += record_bytes(rec);
   return static_cast<std::int64_t>(total);
 }
 
@@ -343,6 +360,9 @@ ThreadKernel::Snapshot ThreadKernel::snapshot() const {
   CAGVT_CHECK_MSG(queue_.empty(), "checkpoint mid-cascade");
   Snapshot snap;
   snap.lps = lps_;
+  snap.history.reserve(live_history_);
+  for (const auto& [lp_id, lp] : lps_)
+    pool_.for_each(lp.history, [&](const ProcessedRecord& rec) { snap.history.push_back(rec); });
   snap.pending = pending_;
   snap.early_antis = early_antis_;
   snap.surplus = surplus_;
@@ -360,6 +380,16 @@ void ThreadKernel::restore(const Snapshot& snap) {
   // and the owner table is rewound to the same cut by the recovery layer.
   lps_ = snap.lps;
   reindex();
+  pool_.clear();
+  with_history_.clear();
+  auto rec = snap.history.begin();
+  for (auto& [lp_id, lp] : lps_) {
+    const std::uint32_t count = lp.history.size;
+    lp.history = {};
+    lp.fossil_listed = false;
+    for (std::uint32_t i = 0; i < count; ++i) push_history(lp_id, lp) = *rec++;
+  }
+  CAGVT_CHECK(rec == snap.history.end());
   pending_ = snap.pending;
   early_antis_ = snap.early_antis;
   surplus_ = snap.surplus;
@@ -373,7 +403,7 @@ std::int64_t ThreadKernel::LpPackage::bytes() const {
   std::size_t total = lp_bytes(data) + pending.size() * sizeof(Event) +
                       early_antis.size() * sizeof(std::uint64_t) +
                       surplus.size() * (sizeof(std::uint64_t) + sizeof(int));
-  for (const ProcessedRecord& rec : data.history) total += record_bytes(rec);
+  for (const ProcessedRecord& rec : history) total += record_bytes(rec);
   return static_cast<std::int64_t>(total);
 }
 
@@ -387,7 +417,15 @@ ThreadKernel::LpPackage ThreadKernel::extract_lp(LpId lp) {
   pkg.data = std::move(it->second);
   lps_.erase(it);
   reindex();
-  live_history_ -= pkg.data.history.size();
+  HistoryFifo& history = pkg.data.history;
+  pkg.history.reserve(history.size);
+  pool_.for_each(history, [&](const ProcessedRecord& rec) { pkg.history.push_back(rec); });
+  live_history_ -= history.size;
+  while (!history.empty()) pool_.pop_oldest(history);
+  if (pkg.data.fossil_listed) {
+    std::erase(with_history_, lp);
+    pkg.data.fossil_listed = false;
+  }
   pkg.pending = pending_.extract_lp(lp);
   for (auto ea = early_antis_.begin(); ea != early_antis_.end();) {
     if (ea->second == lp) {
@@ -417,7 +455,8 @@ void ThreadKernel::install_lp(LpPackage&& pkg) {
                   "installing an LP this kernel already owns");
   it = lps_.emplace(it, pkg.lp, std::move(pkg.data));
   reindex();
-  live_history_ += it->second.history.size();
+  for (const ProcessedRecord& rec : pkg.history) push_history(pkg.lp, it->second) = rec;
+  live_history_ += pkg.history.size();
   if (live_history_ > stats_.max_history) stats_.max_history = live_history_;
   for (const Event& e : pkg.pending) pending_.push(e);
   for (const std::uint64_t uid : pkg.early_antis) early_antis_.emplace(uid, pkg.lp);

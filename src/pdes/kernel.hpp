@@ -3,7 +3,10 @@
 // Owns a set of LPs (initially the LpMap's contiguous block; LPs can be
 // extracted/installed at GVT fences by the migration subsystem), their
 // pending event set, processed-event histories (with pre-state checkpoints
-// and generated-event logs), and the rollback machinery. The kernel is *purely logical*: it is synchronous,
+// and generated-event logs), and the rollback machinery. The histories of
+// all the kernel's LPs share one HistoryPool: an LP holds only the ends and
+// length of its FIFO, so an LP that has processed nothing owns no history
+// storage. The kernel is *purely logical*: it is synchronous,
 // engine-agnostic code with no timing — the core layer's worker coroutines
 // drive it and charge the simulated-time costs its outcome reports
 // describe. That split keeps all causality logic unit-testable without the
@@ -17,12 +20,12 @@
 //    thread, and (b) the work performed, so the caller can charge costs.
 //    Events whose destination LP lives on this same kernel are resolved
 //    internally (the paper's zero-transport "local" messages).
-//  * fossil_collect() frees history older than GVT and counts commits.
+//  * fossil_collect() frees history older than GVT and counts commits,
+//    visiting only the LPs that hold history.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <utility>
@@ -31,6 +34,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pdes/event.hpp"
+#include "pdes/history_pool.hpp"
 #include "pdes/mapping.hpp"
 #include "pdes/model.hpp"
 #include "pdes/pending_set.hpp"
@@ -79,7 +83,11 @@ class ThreadKernel {
     VirtualTime lvt = 0;
     EventKey last_processed{};
     std::vector<std::byte> state;
-    std::deque<ProcessedRecord> history;
+    /// Uncommitted records, oldest first, in the kernel's history pool.
+    /// Outside a kernel (in a Snapshot or LpPackage) only `size` holds.
+    HistoryFifo history;
+    /// On the kernel's fossil list (with_history_).
+    bool fossil_listed = false;
     /// EPG units executed on this LP since the last drain_lp_work() call;
     /// feeds the load balancer's per-LP heat estimate.
     double window_work = 0;
@@ -145,6 +153,9 @@ class ThreadKernel {
   /// checkpoint's GVT.
   struct Snapshot {
     LpTable lps;
+    /// Every LP's uncommitted records, in `lps` order, each LP's oldest
+    /// first (lps[i].second.history.size of them).
+    std::vector<ProcessedRecord> history;
     PendingSet pending;
     std::unordered_map<std::uint64_t, LpId> early_antis;
     std::unordered_map<std::uint64_t, SurplusPositive> surplus;
@@ -169,6 +180,7 @@ class ThreadKernel {
   struct LpPackage {
     LpId lp = -1;
     Lp data;
+    std::vector<ProcessedRecord> history;  // oldest first
     std::vector<Event> pending;
     std::vector<std::uint64_t> early_antis;
     std::vector<std::pair<std::uint64_t, int>> surplus;  // uid -> copy count
@@ -260,7 +272,10 @@ class ThreadKernel {
 
   // --- test introspection -------------------------------------------------
   VirtualTime lp_lvt(LpId lp) const { return lp_ref(lp).lvt; }
-  std::size_t lp_history_size(LpId lp) const { return lp_ref(lp).history.size(); }
+  std::size_t lp_history_size(LpId lp) const { return lp_ref(lp).history.size; }
+  /// Records allocated in the history pool, live and free.
+  std::size_t history_capacity() const { return pool_.capacity(); }
+  static constexpr std::size_t kHistoryBlock = HistoryPool<ProcessedRecord>::kBlockRecords;
   std::span<const std::byte> lp_state(LpId lp) const {
     const Lp& l = lp_ref(lp);
     return {l.state.data(), l.state.size()};
@@ -308,6 +323,9 @@ class ThreadKernel {
   }
   /// Rebuild home_slot_ after lps_ changed shape (migration or restore).
   void reindex();
+  /// A new newest record of LP `id`, to be filled in; lists the LP for
+  /// fossil collection.
+  ProcessedRecord& push_history(LpId id, Lp& lp);
 
   /// Apply a message destined to one of my LPs; cascades are pushed onto
   /// `queue_` and externals onto out.external.
@@ -345,6 +363,11 @@ class ThreadKernel {
   LpId home_first_;
   std::vector<std::int32_t> home_slot_;
   PendingSet pending_;
+  /// Every owned LP's uncommitted records.
+  HistoryPool<ProcessedRecord> pool_;
+  /// The LPs fossil collection visits: each LP with history, and LPs a
+  /// rollback emptied since the last collection (which drops them).
+  std::vector<LpId> with_history_;
   std::vector<Event> queue_;  // same-thread cascade work list
   /// Early anti-messages: uid -> destination LP (the LP id travels with a
   /// migrating LP so pending annihilations follow it).

@@ -137,7 +137,7 @@ TEST(KernelMigrationTest, ExtractInstallRoundtripMovesFullLpState) {
 
   ThreadKernel::LpPackage pkg = src.extract_lp(1);
   EXPECT_EQ(pkg.lp, 1);
-  EXPECT_EQ(pkg.data.history.size(), 1u);
+  EXPECT_EQ(pkg.history.size(), 1u);
   ASSERT_EQ(pkg.pending.size(), 1u);
   EXPECT_EQ(pkg.pending[0].uid, 77u);
   EXPECT_GT(pkg.bytes(), 0);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "test_model.hpp"
 
 namespace cagvt::pdes {
@@ -290,6 +292,85 @@ TEST(KernelTest, CheckpointBytesCountFieldWidthsNotStructLayout) {
   EXPECT_EQ(kernel.extract_lp(0).bytes(), kLp + kRecord);
   EXPECT_EQ(kernel.extract_lp(1).bytes(), kLp + kPending);
 }
+
+TEST(KernelHistoryPoolTest, IdleKernelHoldsNoHistoryStorage) {
+  LpMap map(1, 1, 512);
+  TestModel model(map, {});
+  ThreadKernel kernel(model, map, 0, {.end_vt = 100, .seed = 1});
+  kernel.init();
+  EXPECT_EQ(kernel.history_capacity(), 0u);
+  for (LpId lp = 0; lp < 512; ++lp) EXPECT_EQ(kernel.lp_history_size(lp), 0u);
+}
+
+TEST(KernelHistoryPoolTest, FossilCyclesReuseFreedRecords) {
+  LpMap map(1, 1, 64);
+  TestModelCfg cfg;
+  cfg.delay = 0.5;
+  TestModel model(map, cfg);
+  ThreadKernel kernel(model, map, 0, {.end_vt = 1000, .seed = 1});
+  kernel.init();
+  auto round_up = [](std::size_t n) {
+    return (n + ThreadKernel::kHistoryBlock - 1) / ThreadKernel::kHistoryBlock *
+           ThreadKernel::kHistoryBlock;
+  };
+  // Each cycle processes 3 * 64 events, then commits what lies below the
+  // pending minimum. The pool never holds more than the peak live history
+  // (rounded up to a block), though the cycles process several times that.
+  for (int cycle = 1; cycle <= 4; ++cycle) {
+    for (int i = 0; i < 3 * 64; ++i) ASSERT_TRUE(kernel.process_next().processed);
+    kernel.fossil_collect(kernel.local_min_ts());
+    EXPECT_LT(kernel.live_history(), 64u) << "cycle " << cycle;
+    EXPECT_EQ(kernel.history_capacity(), round_up(kernel.stats().max_history)) << "cycle " << cycle;
+  }
+  EXPECT_GT(kernel.stats().processed, 3 * kernel.history_capacity());
+}
+
+// A rollback re-executes to the same results whether the kernel was
+// checkpointed and restored, or its LP migrated out and back in between.
+class KernelHistoryReplayTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(KernelHistoryReplayTest, RollbackAfterRewindMatchesAnUntouchedKernel) {
+  const std::string how = GetParam();
+  const LpMap map(1, 2, 4);  // worker 0: LPs 0-3; worker 1: LPs 4-7
+  TestModelCfg cfg;
+  cfg.stride = 1;
+  TestModel model(map, cfg);
+  const KernelConfig kcfg{.end_vt = 40, .seed = 1, .dynamic_placement = true};
+  std::uint64_t fingerprint = 0;
+  std::uint64_t state = 0;
+  auto run = [&](bool rewind) {
+    ThreadKernel kernel(model, map, 0, kcfg);
+    ThreadKernel other(model, map, 1, kcfg);
+    kernel.init();
+    other.init();
+    for (int i = 0; i < 6; ++i) ASSERT_TRUE(kernel.process_next().processed);
+    if (rewind && how == std::string("restore")) {
+      const ThreadKernel::Snapshot snap = kernel.snapshot();
+      while (kernel.process_next().processed) {
+      }
+      kernel.restore(snap);
+    } else if (rewind) {
+      other.install_lp(kernel.extract_lp(1));
+      kernel.install_lp(other.extract_lp(1));
+    }
+    // A straggler for LP 1 rolls back the history the rewind rebuilt.
+    const Outcome hit = kernel.deposit(positive(1.5, 4242, /*src=*/4, /*dst=*/1));
+    EXPECT_GT(hit.rolled_back, 0);
+    while (kernel.process_next().processed) {
+    }
+    kernel.final_commit();
+    fingerprint = kernel.committed_fingerprint();
+    state = kernel.state_hash();
+  };
+  run(false);
+  const std::uint64_t want_fp = fingerprint, want_state = state;
+  run(true);
+  EXPECT_EQ(fingerprint, want_fp);
+  EXPECT_EQ(state, want_state);
+}
+
+INSTANTIATE_TEST_SUITE_P(Rewinds, KernelHistoryReplayTest,
+                         ::testing::Values("restore", "migrate"));
 
 // The kernel finds a home-block LP through its slot index and an LP that
 // migrated in from outside that block by binary search; both views must
