@@ -84,7 +84,8 @@ class ThreadKernel {
     EventKey last_processed{};
     std::vector<std::byte> state;
     /// Uncommitted records, oldest first, in the kernel's history pool.
-    /// Outside a kernel (in a Snapshot or LpPackage) only `size` holds.
+    /// In a Snapshot only `size` holds; in an LpPackage it is empty (the
+    /// records travel in LpPackage::history).
     HistoryFifo history;
     /// On the kernel's fossil list (with_history_).
     bool fossil_listed = false;
