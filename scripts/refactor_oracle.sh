@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: 25 deterministic phold_cluster runs whose trace CSV,
+# Refactor oracle: 26 deterministic phold_cluster runs whose trace CSV,
 # metrics CSV and stdout a behaviour-preserving change must leave
 # byte-identical.
 #
@@ -11,20 +11,22 @@
 # <name>.out into OUT_DIR. The runs execute inside OUT_DIR with relative
 # output paths, because stdout echoes those paths; that way stdout compares
 # too. Run it for two builds (or twice for one build), then compare the two
-# output directories with the second form: it cmps all 75 files, names each
+# output directories with the second form: it cmps all 78 files, names each
 # run whose files differ or are missing, and exits 1 if any run does.
 #
 # Together the runs cover a restore, migrations, flow throttling, and the
 # throttle and sync tiers of every GVT kind; the two *-all runs compose
 # every controller in one run, and mattern-ctl composes lb, flow and
-# checkpoints without a fault schedule. Every run without a fault schedule
-# (all but the *-crash and *-all runs) skips idle passes (DESIGN §14 "Idle
-# polls"): the *-flow runs, mattern-ctl and mattern-window through the
-# hooks' loop_pending answers, while ca-cmb keeps every worker pass and
-# skips only MPI-agent passes; two plain runs cover the combined and
-# everywhere placements. Exits non-zero on a usage error or when a run fails
-# to start; a run's own exit status (2 = incomplete) is recorded in its .out
-# file and does not stop the sweep.
+# checkpoints without a fault schedule. mattern-straggler is the one run
+# whose CPU costs depend on the instant they are charged at: a straggler
+# ramp on every node, plus MPI stall pulses on node 1. Every run without a
+# fault schedule (all but the *-crash, *-all and straggler runs) skips idle
+# passes (DESIGN §14 "Idle polls"): the *-flow runs, mattern-ctl and
+# mattern-window through the hooks' loop_pending answers, while ca-cmb
+# keeps every worker pass and skips only MPI-agent passes; two plain runs
+# cover the combined and everywhere placements. Exits non-zero on a usage
+# error or when a run fails to start; a run's own exit status (2 =
+# incomplete) is recorded in its .out file and does not stop the sweep.
 set -euo pipefail
 
 runs=()
@@ -40,6 +42,7 @@ runs+=("epoch-combined|--gvt=epoch --mpi=combined --ckpt-every=3 --lb=roughness 
 runs+=("ca-everywhere|--gvt=ca-gvt --mpi=everywhere --model=imbalanced-phold --lb=roughness")
 runs+=("mattern-combined-plain|--gvt=mattern --mpi=combined")
 runs+=("ca-everywhere-plain|--gvt=ca-gvt --mpi=everywhere")
+runs+=("mattern-straggler|--gvt=mattern --ckpt-every=3 --fault=straggler:node=all,t=0..3ms,slow=6x,profile=ramp;mpistall:node=1,t=100us..,stall=150us,period=800us")
 runs+=("mattern-ctl|--gvt=mattern --model=imbalanced-phold --lb=roughness --flow=bounded,mem=64 --ckpt-every=3")
 all="--model=imbalanced-phold --lb=roughness --flow=bounded,mem=64 --ckpt-every=3 --fault=crash:node=1,t=5,down=2"
 runs+=("mattern-all|--gvt=mattern $all")

@@ -220,8 +220,12 @@ class NodeRuntime {
   /// straggler window slows every activity uniformly (EPG, queue copies,
   /// MPI packing, polling) — the model of a thermally throttled / noisy
   /// KNL node.
-  metasim::SimTime cpu(metasim::SimTime base) const {
-    return cluster_.faults == nullptr ? base : cluster_.faults->scale_cpu(node_id_, base);
+  metasim::SimTime cpu(metasim::SimTime base) const { return cpu_at(base, cluster_.engine.now()); }
+  /// The same for CPU time charged from instant `t` on: a folded lock
+  /// hold's steps (metasim::Mutex::lock_then), each priced where the
+  /// unfolded loop would have reached it.
+  metasim::SimTime cpu_at(metasim::SimTime base, metasim::SimTime t) const {
+    return cluster_.faults == nullptr ? base : cluster_.faults->scale_cpu_at(node_id_, base, t);
   }
 
   /// A worker adopts a freshly computed GVT: fossil-collect, record the

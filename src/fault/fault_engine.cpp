@@ -86,17 +86,16 @@ double FaultEngine::factor_at(const FaultSpec& spec, SimTime t) const {
   return 1.0;
 }
 
-double FaultEngine::cpu_factor(int node) const {
+double FaultEngine::cpu_factor_at(int node, SimTime t) const {
   const auto& affecting = stragglers_by_node_[static_cast<std::size_t>(node)];
   if (affecting.empty()) return 1.0;
-  const SimTime t = now();
   double factor = 1.0;
   for (const std::size_t i : affecting) factor *= factor_at(specs_[i], t);
   return factor;
 }
 
-SimTime FaultEngine::scale_cpu(int node, SimTime cost) const {
-  const double factor = cpu_factor(node);
+SimTime FaultEngine::scale_cpu_at(int node, SimTime cost, SimTime t) const {
+  const double factor = cpu_factor_at(node, t);
   if (factor == 1.0) return cost;
   return static_cast<SimTime>(std::llround(static_cast<double>(cost) * factor));
 }

@@ -3,9 +3,10 @@
 // Holds a validated perturbation schedule (FaultSpecs) and answers the
 // hot-path queries the substrate interposes on its cost lookups:
 //
-//   * cpu_factor / scale_cpu      — straggler CPU slowdown of a node at the
-//                                   current simulated time (EPG, engine and
-//                                   MPI CPU costs multiply by it);
+//   * scale_cpu / scale_cpu_at    — straggler CPU slowdown of a node at the
+//                                   current simulated time, or at a given
+//                                   instant (EPG, engine and MPI CPU costs
+//                                   multiply by it);
 //   * link_latency / scale_transmit — per-link latency inflation (+ jitter
 //                                   from the counter-based RNG) and
 //                                   bandwidth reduction on the wire;
@@ -50,10 +51,16 @@ class FaultEngine {
            obs::MetricsRegistry* metrics);
 
   // --- hot-path queries (valid after arm) --------------------------------
-  /// Combined CPU-cost multiplier of `node` at the current time (>= 1).
-  double cpu_factor(int node) const;
-  /// `cost` scaled by cpu_factor(node), rounded to integer nanoseconds.
-  metasim::SimTime scale_cpu(int node, metasim::SimTime cost) const;
+  /// Combined CPU-cost multiplier of `node` at instant `t` (>= 1).
+  double cpu_factor_at(int node, metasim::SimTime t) const;
+  /// `cost` charged by `node` at instant `t`: scaled by cpu_factor_at,
+  /// rounded to integer nanoseconds. A folded lock hold
+  /// (metasim::Mutex::lock_then) prices its work ahead of the clock.
+  metasim::SimTime scale_cpu_at(int node, metasim::SimTime cost, metasim::SimTime t) const;
+  /// The same at the current time.
+  metasim::SimTime scale_cpu(int node, metasim::SimTime cost) const {
+    return scale_cpu_at(node, cost, now());
+  }
   /// One-way latency of link (src, dst) after inflation + jitter.
   /// Non-const: jitter draws advance the link's deterministic counter.
   metasim::SimTime link_latency(int src, int dst, metasim::SimTime base);

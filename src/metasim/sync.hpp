@@ -12,7 +12,9 @@
 //                     acquire cost (CAS + fence) and a handoff cost (cache
 //                     line bounce) per contended transfer. Wait time is the
 //                     contention model — threads queue in simulated time
-//                     exactly as they would on hardware.
+//                     exactly as they would on hardware. lock_then folds the
+//                     work done under the lock into the acquisition: one
+//                     resumption instead of one per step.
 //  * Trigger        — level-triggered event for "wait until X" patterns.
 //
 // All primitives keep counters so experiments can report time lost to
@@ -23,6 +25,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "metasim/process.hpp"
@@ -167,6 +170,16 @@ class ReduceBarrier {
 /// costs `acquire_cost` (CAS + fence); a contended handoff additionally
 /// costs `handoff_cost` (cache-line transfer to the next waiter). Queueing
 /// delay under contention emerges from the simulation itself.
+///
+/// lock_then(hold) folds the holder's first stretch of lock-held work into
+/// the acquisition: `hold(acquired_at)` runs once, when the lock is granted
+/// to this waiter (at the lock call when it is free, inside the releasing
+/// unlock() on a handoff), does the work and returns its simulated cost;
+/// the waiter then resumes once, at acquired_at + cost, still holding the
+/// lock. That is one dispatch where `co_await lock(); co_await delay(...)`
+/// loops take one per step. A hold may touch only state this lock guards,
+/// and schedules nothing: it may run inside another thread's dispatch, and
+/// before the instant it stands for (DESIGN §14 "Folded lock holds").
 class Mutex {
  public:
   explicit Mutex(Engine& engine, SimTime acquire_cost = 0, SimTime handoff_cost = 0)
@@ -177,6 +190,8 @@ class Mutex {
 
   struct [[nodiscard]] Awaiter {
     Mutex* mutex;
+    /// lock_then's hold, type-erased; null for lock().
+    SimTime (*hold)(Awaiter&, SimTime acquired_at) = nullptr;
     Process::Handle handle{};
     SimTime arrived_at = 0;
 
@@ -189,8 +204,24 @@ class Mutex {
     void await_resume() const noexcept {}
   };
 
+  template <typename Hold>
+  struct [[nodiscard]] HoldAwaiter : Awaiter {
+    HoldAwaiter(Mutex* m, Hold h) : Awaiter{m, &run}, fn(std::move(h)) {}
+    static SimTime run(Awaiter& self, SimTime acquired_at) {
+      return static_cast<HoldAwaiter&>(self).fn(acquired_at);
+    }
+    Hold fn;
+  };
+
   /// co_await mutex.lock(); ... mutex.unlock();
   Awaiter lock() { return Awaiter{this}; }
+
+  /// co_await mutex.lock_then([&](SimTime acquired_at) { ...; return cost; });
+  /// ... mutex.unlock();
+  template <typename Hold>
+  HoldAwaiter<Hold> lock_then(Hold hold) {
+    return HoldAwaiter<Hold>(this, std::move(hold));
+  }
 
   void unlock() {
     CAGVT_CHECK_MSG(held_, "unlock of a mutex that is not held");
@@ -202,7 +233,7 @@ class Mutex {
     waiters_.pop_front();
     const SimTime release_at = engine_.now() + handoff_cost_;
     total_wait_time_ += release_at - next->arrived_at;
-    resume_at(engine_, release_at, next->handle);
+    grant(*next, release_at);
   }
 
   bool held() const { return held_; }
@@ -215,11 +246,19 @@ class Mutex {
     ++acquisitions_;
     if (!held_) {
       held_ = true;
-      resume_at(engine_, engine_.now() + acquire_cost_, awaiter->handle);
+      grant(*awaiter, engine_.now() + acquire_cost_);
       return;
     }
     ++contended_;
     waiters_.push_back(awaiter);
+  }
+
+  /// The lock is `awaiter`'s from `acquired_at`: run its hold, if any, and
+  /// resume it when the hold's work is done.
+  void grant(Awaiter& awaiter, SimTime acquired_at) {
+    const SimTime cost = awaiter.hold != nullptr ? awaiter.hold(awaiter, acquired_at) : 0;
+    CAGVT_ASSERT(cost >= 0);
+    resume_at(engine_, acquired_at + cost, awaiter.handle);
   }
 
   Engine& engine_;

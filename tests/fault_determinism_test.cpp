@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/simulation.hpp"
+#include "fault/fault_engine.hpp"
 #include "fault/fault_parse.hpp"
 #include "models/phold.hpp"
 #include "obs/export.hpp"
@@ -214,6 +216,41 @@ TEST(FaultDeterminismTest, ApplyFaultOptionsParsesFlags) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad.faults = fault::parse_fault_schedule("loss:src=0,dst=9,rate=0.5");
   EXPECT_THROW(bad.validate(), std::invalid_argument);
+}
+
+TEST(FaultEngineTest, CostsPricedAheadMatchCostsPricedOnTheClock) {
+  // A folded lock hold prices each step at the instant it stands for,
+  // before the clock gets there (metasim::Mutex::lock_then). Across a ramp,
+  // a square wave and their overlap, scale_cpu_at(node, c, t) must equal
+  // scale_cpu(node, c) charged at t, whenever it is asked.
+  fault::FaultEngine faults(
+      fault::parse_fault_schedule("straggler:node=0,t=0..3ms,slow=6x,profile=ramp;"
+                                  "straggler:node=all,t=1ms..2ms,slow=3x,profile=square,"
+                                  "period=10us"),
+      /*seed=*/7, /*nodes=*/2);
+  metasim::Engine engine;
+  faults.arm(engine, nullptr, nullptr);
+  const std::vector<metasim::SimTime> costs = {1, 150, 3800, 4200, 99'999};
+  int checked = 0;
+  for (metasim::SimTime t = 0; t <= 3'500'000; t += 2'917) {
+    std::vector<metasim::SimTime> priced;
+    for (int node = 0; node < 2; ++node)
+      for (const metasim::SimTime c : costs) priced.push_back(faults.scale_cpu_at(node, c, t));
+    engine.call_at(t, [&, t, priced] {
+      std::size_t i = 0;
+      for (int node = 0; node < 2; ++node) {
+        for (const metasim::SimTime c : costs) {
+          EXPECT_EQ(faults.scale_cpu_at(node, c, engine.now()), faults.scale_cpu(node, c)) << t;
+          EXPECT_EQ(priced[i++], faults.scale_cpu(node, c)) << t;
+        }
+      }
+      ++checked;
+    });
+  }
+  engine.run();
+  EXPECT_EQ(checked, 1200);
+  // The ramp does move the price.
+  EXPECT_LT(faults.scale_cpu_at(0, 1000, 0), faults.scale_cpu_at(0, 1000, 2'999'000));
 }
 
 }  // namespace

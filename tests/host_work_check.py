@@ -35,9 +35,9 @@ RUNS = {
 
 # (dispatches, polls resumed, polls slept, wakes, passes credited, queue peak)
 PINNED = {
-    "mattern-64": (1128502, 16574, 23825, 23755, 11071043, 486),
-    "imbalance-ctl": (102866, 5291, 5815, 5751, 1145833, 20),
-    "mattern-crash": (362340, 0, 0, 0, 0, 25),
+    "mattern-64": (947086, 16574, 23825, 23755, 11071043, 486),
+    "imbalance-ctl": (73500, 5291, 5815, 5751, 1145833, 20),
+    "mattern-crash": (356816, 0, 0, 0, 0, 25),
 }
 
 MAX_DISPATCHES_64 = 4_000_000

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metasim/process.hpp"
@@ -208,6 +209,16 @@ struct PollAt {
   void await_resume() const noexcept {}
 };
 
+/// `text`, then `more` and "@<t>" appended: log records are built by
+/// appends, because GCC 12 at -O3 can report a false -Wrestrict overlap
+/// inside std::string operator+ chains.
+std::string stamp(std::string text, std::string_view more, SimTime t) {
+  text += more;
+  text += '@';
+  text += std::to_string(t);
+  return text;
+}
+
 /// A poller with nothing to do until `done` (or until its `due` skipped
 /// pass, when set); each credit logs how many passes it covers.
 struct SleepyPoller final : IdlePoller {
@@ -220,7 +231,10 @@ struct SleepyPoller final : IdlePoller {
   bool pass_pending() override { return done || (due > 0 && credited == due); }
   void skip_passes(std::uint64_t passes) override {
     credited += passes;
-    order.push_back(tag + " x" + std::to_string(passes) + "@" + std::to_string(engine.now()));
+    std::string record = tag;
+    record += " x";
+    record += std::to_string(passes);
+    order.push_back(stamp(std::move(record), "", engine.now()));
   }
   std::uint64_t passes_to_due() const override { return due > credited ? due - credited + 1 : 0; }
   /// The write that ends the wait, and its wake.
@@ -240,7 +254,7 @@ struct SleepyPoller final : IdlePoller {
 
 Process sleepy(SleepyPoller& p, SimTime first_offset) {
   co_await PollAt{first_offset, p.id};
-  p.order.push_back(p.tag + " exits@" + std::to_string(p.engine.now()));
+  p.order.push_back(stamp(p.tag, " exits", p.engine.now()));
 }
 
 TEST(EngineTest, IdlePollTiesWithCallbacksFollowOwnerOrder) {
@@ -345,13 +359,21 @@ struct Planned {
 };
 
 Process logged(std::vector<std::string>* log, std::string tag, Engine* engine) {
-  log->push_back(tag + "@" + std::to_string(engine->now()));
+  log->push_back(stamp(std::move(tag), "", engine->now()));
   co_return;
 }
 
 Process polled_once(SleepyPoller& p, SimTime offset) {
   co_await PollAt{offset, p.id};
-  p.order.push_back(p.tag + " resumed@" + std::to_string(p.engine.now()));
+  p.order.push_back(stamp(p.tag, " resumed", p.engine.now()));
+}
+
+/// "o<owner>" followed by `more`.
+std::string owner_tag(std::size_t owner, std::string_view more) {
+  std::string text = "o";
+  text += std::to_string(owner);
+  text += more;
+  return text;
 }
 
 /// Schedule every owner's planned entries, interleaving the owners in an
@@ -365,7 +387,7 @@ std::vector<std::string> run_interleaved(const std::vector<std::vector<Planned>>
   std::vector<std::unique_ptr<SleepyPoller>> pollers;
   for (std::size_t o = 0; o < plan.size(); ++o) {
     pollers.push_back(
-        std::make_unique<SleepyPoller>(engine, log, "o" + std::to_string(o) + " poll", 4));
+        std::make_unique<SleepyPoller>(engine, log, owner_tag(o, " poll"), 4));
     owners.push_back(pollers.back()->owner);
   }
   std::vector<std::size_t> next(plan.size(), 0);
@@ -378,19 +400,20 @@ std::vector<std::string> run_interleaved(const std::vector<std::vector<Planned>>
     const std::size_t i = next[o]++;
     --left;
     const Planned item = plan[o][i];
-    const std::string tag = "o" + std::to_string(o) + "#" + std::to_string(i);
+    std::string tag = owner_tag(o, "#");
+    tag += std::to_string(i);
     switch (item.kind) {
       case Planned::kCall:
         engine.call_at(item.when, owners[o], [&log, &engine, tag] {
-          log.push_back(tag + "@" + std::to_string(engine.now()));
+          log.push_back(stamp(tag, "", engine.now()));
           // An unowned follow-up belongs to this owner too.
           engine.call_at(engine.now() + 1,
-                         [&log, &engine, tag] { log.push_back(tag + "+1@" + std::to_string(engine.now())); });
+                         [&log, &engine, tag] { log.push_back(stamp(tag, "+1", engine.now())); });
         });
         break;
       case Planned::kDaemon:
         engine.call_at_daemon(item.when, owners[o], [&log, &engine, tag] {
-          log.push_back(tag + " daemon@" + std::to_string(engine.now()));
+          log.push_back(stamp(tag, " daemon", engine.now()));
         });
         break;
       case Planned::kSpawn:

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace cagvt::metasim {
 namespace {
@@ -165,6 +169,136 @@ TEST(MutexDeathTest, UnlockWithoutHoldAborts) {
   Engine engine;
   Mutex mutex(engine);
   EXPECT_DEATH(mutex.unlock(), "not held");
+}
+
+TEST(MutexTest, LockThenRunsTheHoldAtTheGrantAndResumesOnce) {
+  Engine engine;
+  Mutex mutex(engine, /*acquire_cost=*/5, /*handoff_cost=*/3);
+  std::vector<std::pair<SimTime, SimTime>> holds;  // (engine now, acquired_at)
+  std::vector<SimTime> resumed;
+  auto locker = [&](SimTime arrive, SimTime cost) -> Process {
+    co_await delay(arrive);
+    co_await mutex.lock_then([&, cost](SimTime acquired_at) {
+      holds.emplace_back(engine.now(), acquired_at);
+      return cost;
+    });
+    resumed.push_back(engine.now());
+    mutex.unlock();
+  };
+  spawn(engine, locker(0, 100));
+  spawn(engine, locker(10, 7));
+  engine.run();
+  // Free at 0: the hold runs at the lock call. Handed off by the unlock at
+  // 105: the hold runs there, for the instant 108 it is granted at.
+  EXPECT_EQ(holds, (std::vector<std::pair<SimTime, SimTime>>{{0, 5}, {105, 108}}));
+  EXPECT_EQ(resumed, (std::vector<SimTime>{105, 115}));
+  EXPECT_EQ(mutex.total_wait_time(), 98);
+  // Two starts, two delays, one resumption per lock_then.
+  EXPECT_EQ(engine.dispatched(), 6u);
+}
+
+/// One acquisition of a seeded mutex program: arrive `gap` after the
+/// previous release, then hold the lock for `steps` (each priced at the
+/// instant it starts).
+struct Acquisition {
+  SimTime gap;
+  std::vector<SimTime> steps;
+};
+
+/// A step's cost when it starts at `t`: varies with t, so a step priced at
+/// the wrong instant moves the schedule.
+SimTime step_cost(SimTime step, SimTime t) { return step + (t % 7) * (step % 3); }
+
+/// "<what> p<process>@<t>", built by appends (GCC 12 at -O3 can report a
+/// false -Wrestrict inside std::string operator+ chains).
+std::string record(const char* what, std::size_t process, SimTime t) {
+  std::string text = what;
+  text += " p";
+  text += std::to_string(process);
+  text += '@';
+  text += std::to_string(t);
+  return text;
+}
+
+struct MutexRun {
+  std::vector<std::vector<SimTime>> acquired;  // per process, each grant instant
+  std::vector<std::vector<SimTime>> released;  // per process, each unlock instant
+  std::vector<std::string> log;                // every unlock and exit, in order
+  std::uint64_t acquisitions = 0;
+  std::uint64_t contended = 0;
+  SimTime wait = 0;
+  bool operator==(const MutexRun&) const = default;
+};
+
+/// Run `plan` (one acquisition list per process, plus an observer that
+/// only ticks) with every hold written as lock() then delay() steps, or
+/// folded into lock_then.
+MutexRun run_mutex_plan(const std::vector<std::vector<Acquisition>>& plan, bool folded) {
+  Engine engine;
+  Mutex mutex(engine, /*acquire_cost=*/2, /*handoff_cost=*/3);
+  MutexRun run;
+  run.acquired.resize(plan.size());
+  run.released.resize(plan.size());
+  auto process = [&](std::size_t p) -> Process {
+    for (const Acquisition& a : plan[p]) {
+      co_await delay(a.gap);
+      if (folded) {
+        co_await mutex.lock_then([&](SimTime acquired_at) {
+          run.acquired[p].push_back(acquired_at);
+          SimTime at = acquired_at;
+          for (const SimTime step : a.steps) at += step_cost(step, at);
+          return at - acquired_at;
+        });
+      } else {
+        co_await mutex.lock();
+        run.acquired[p].push_back(engine.now());
+        for (const SimTime step : a.steps) co_await delay(step_cost(step, engine.now()));
+      }
+      run.released[p].push_back(engine.now());
+      run.log.push_back(record("unlock", p, engine.now()));
+      mutex.unlock();
+    }
+    run.log.push_back(record("exit", p, engine.now()));
+  };
+  auto observer = [&]() -> Process {
+    for (int i = 0; i < 40; ++i) {
+      co_await delay(11);
+      run.log.push_back(record(mutex.held() ? "observer, held" : "observer, free", 0,
+                               engine.now()));
+    }
+  };
+  for (std::size_t p = 0; p < plan.size(); ++p) spawn(engine, process(p));
+  spawn(engine, observer());
+  engine.run();
+  run.acquisitions = mutex.acquisitions();
+  run.contended = mutex.contended_acquisitions();
+  run.wait = mutex.total_wait_time();
+  return run;
+}
+
+TEST(MutexTest, FoldedHoldsScheduleLikeTheLoopsTheyReplace) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256StarStar rng(seed);
+    std::vector<std::vector<Acquisition>> plan(3 + rng.next_below(4));
+    for (auto& acquisitions : plan) {
+      acquisitions.resize(2 + rng.next_below(6));
+      for (Acquisition& a : acquisitions) {
+        a.gap = static_cast<SimTime>(rng.next_below(20));
+        a.steps.resize(rng.next_below(5));  // an empty hold is a plain lock
+        for (SimTime& step : a.steps) step = static_cast<SimTime>(rng.next_below(12));
+      }
+    }
+    const MutexRun loops = run_mutex_plan(plan, /*folded=*/false);
+    const MutexRun folded = run_mutex_plan(plan, /*folded=*/true);
+    EXPECT_EQ(folded.acquired, loops.acquired);
+    EXPECT_EQ(folded.released, loops.released);
+    EXPECT_EQ(folded.log, loops.log);
+    EXPECT_EQ(folded.acquisitions, loops.acquisitions);
+    EXPECT_EQ(folded.contended, loops.contended);
+    EXPECT_EQ(folded.wait, loops.wait);
+    EXPECT_GT(loops.contended, 0u);
+  }
 }
 
 TEST(TriggerTest, WaitersResumeOnSet) {
