@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <utility>
 
+#include "metasim/frame_pool.hpp"
+
 namespace cagvt::metasim {
 
 Engine::~Engine() {
@@ -13,6 +15,7 @@ Engine::~Engine() {
   for (auto handle : frames_) {
     if (handle) handle.destroy();
   }
+  FramePool::release();
 }
 
 std::uint32_t Engine::add_owner() {
